@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .construct import _floor_power
 from .errors import ShapeError
 
 __all__ = [
@@ -122,11 +123,7 @@ COST_COLUMNS = [
 
 
 def _families(N: int, L: int, d: int):
-    n = max(1, int(round(N ** (2.0 / d))))
-    while (n + 1) ** d <= N * N:
-        n += 1
-    while n**d > N * N:
-        n -= 1
+    n = _floor_power(N, d)
     shallow = [2 * d * n, 2 * N, 2 * N]
     deep_uniform = [N] * L
     fixed_width = [2 * d + 10] * N

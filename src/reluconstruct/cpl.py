@@ -288,14 +288,12 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
         vals = w @ vals + bias[:, None]
         if li == len(net.layers) - 1:
             break
-        crossings = []
         v0, v1 = vals[:, :-1], vals[:, 1:]
-        sign_change = (v0 * v1) < 0
-        for u, s in zip(*np.nonzero(sign_change)):
+        u, s = np.nonzero((v0 * v1) < 0)
+        if u.size:
             x0, x1 = breaks[s], breaks[s + 1]
-            t = vals[u, s] / (vals[u, s] - vals[u, s + 1])
-            crossings.append(x0 + t * (x1 - x0))
-        if crossings:
+            t = v0[u, s] / (v0[u, s] - v1[u, s])
+            crossings = x0 + t * (x1 - x0)
             new_breaks = np.unique(np.concatenate((breaks, crossings)))
             gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
             keep = np.concatenate(([True], np.diff(new_breaks) > gap))

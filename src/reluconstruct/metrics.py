@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,17 +100,10 @@ def _diff_values(f, net: ReluNetwork, coords: np.ndarray) -> np.ndarray:
     return np.abs(fv - evaluate_batch(net, coords))
 
 
-def _as_pointwise(f):
-    if isinstance(f, HolderTarget):
-        return f
-    return f
-
-
 def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:
     """Composite quadrature estimate of ``integral |f - net|`` over the cube."""
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    f = _as_pointwise(f)
     total = 0.0
     for coords, weights in _chunks(grid):
         total += float(np.sum(_diff_values(f, net, coords) * weights))
@@ -122,7 +114,6 @@ def linf_error(f, net: ReluNetwork, grid: GridSpec) -> float:
     """Max ``|f - net|`` over the grid points: a lower bound on the true sup."""
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    f = _as_pointwise(f)
     worst = 0.0
     for coords, _ in _chunks(grid):
         worst = max(worst, float(np.max(_diff_values(f, net, coords))))

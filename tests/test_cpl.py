@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from reluconstruct import (
     CplFunction,
+    ReluNetwork,
     SampleSet,
     ShapeError,
     cpl_from_net_1d,
@@ -228,3 +229,31 @@ class TestNetToCplExact:
         np.testing.assert_allclose(
             eval_cpl(exact, probes), evaluate_batch(net, probes), atol=1e-11
         )
+
+    def test_subinterval_matches_whole_interval(self):
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            layers, prev = [], 1
+            for width in [*rng.integers(1, 9, size=int(rng.integers(1, 4))), 1]:
+                layers.append((rng.standard_normal((width, prev)), rng.standard_normal(width)))
+                prev = width
+            net = ReluNetwork(1, tuple(layers))
+            whole = net_to_cpl_exact(net, 0.0, 1.0)
+            w1, b1 = layers[0]
+            x_kink = -b1 / w1[:, 0]
+            kinks = np.sort(x_kink[(x_kink > 0.01) & (x_kink < 0.99)])
+            ends = [(0.0, 1.0), tuple(np.sort(rng.uniform(0.0, 1.0, 2)))]
+            if kinks.size:
+                # ends exactly on first-layer kinks, as the don't-care slivers have
+                ends += [(0.0, kinks[0]), (kinks[-1], 1.0)]
+                if kinks.size > 1:
+                    ends.append((kinks[0], kinks[1]))
+            for a, b in ends:
+                part = net_to_cpl_exact(net, a, b)
+                # both are linear between the merged breaks: compare there
+                inside = whole.breaks[(whole.breaks >= a) & (whole.breaks <= b)]
+                pts = np.unique(np.concatenate((part.breaks, inside)))
+                np.testing.assert_allclose(
+                    eval_cpl(part, pts), eval_cpl(whole, pts), rtol=0, atol=1e-12,
+                    err_msg=f"trial {trial} on [{a}, {b}]",
+                )

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from reluconstruct import (
+    EMPIRICAL_SHRINK,
+    PAPER_SUFFICIENT,
     ConstructionInfeasibleError,
     CplFunction,
     DegenerateGridError,
@@ -33,6 +35,7 @@ from reluconstruct import (
     theorem_d1,
     theorem_dd,
 )
+from reluconstruct import construct
 
 GRID_1D = GridSpec(1, 200000)
 
@@ -79,6 +82,26 @@ class TestTheoremD1:
     def test_wrong_dimension(self):
         with pytest.raises(ShapeError):
             theorem_d1(holder_family("cone", 2, 1.0, 1.0), 4)
+
+    @pytest.mark.parametrize("mode", [EMPIRICAL_SHRINK, PAPER_SUFFICIENT])
+    def test_one_lemma2_build_per_delta_candidate(self, monkeypatch, mode):
+        calls = []
+        real = construct.lemma2_interpolant
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "lemma2_interpolant", counted)
+        # the tighter targets reject the first empirical candidates
+        for big_n, alpha, target in ((2, 1.0, None), (4, 0.5, 1e-3), (8, 1.0, 1e-5)):
+            calls.clear()
+            policy = DeltaPolicy(mode=mode, target=target if mode == EMPIRICAL_SHRINK else None)
+            c = build_1d(holder_family("cone", 1, alpha, 1.0), big_n, policy)
+            expected = c.delta.iterations if mode == EMPIRICAL_SHRINK else 1
+            assert len(calls) == expected
+            if mode == EMPIRICAL_SHRINK and target is not None:
+                assert expected > 1
 
 
 class TestPsi0:
@@ -235,7 +258,25 @@ class TestCorollary32:
         assert err == pytest.approx(exact, rel=0.05, abs=1e-6)
 
 
+def takagi(levels):
+    """Truncated Takagi function ``sum_{k<levels} 2^-k dist(2^k x, Z)``.
+
+    Lipschitz with constant exactly ``levels``, reached only as x -> 0+.
+    """
+
+    def f(points):
+        t = 2.0 ** np.arange(levels) * points[:, :1]
+        return np.sum(np.abs(t - np.round(t)) / 2.0 ** np.arange(levels), axis=1)
+
+    return f
+
+
 def test_certificate_spot_check_warns():
     bad = HolderTarget(f=lambda pts: 100.0 * pts[:, 0] ** 2, d=1, alpha=1.0, nu=1.0)
     with pytest.warns(RuntimeWarning):
         build_1d(bad, 2)
+    # random pairs rarely look near 0; the grid neighbours (0, 2^-12) see
+    # slope 12, so nu = 5 breaks the certificate by a factor 2.4
+    understated = HolderTarget(f=takagi(16), d=1, alpha=1.0, nu=5.0)
+    with pytest.warns(RuntimeWarning, match=r"ratio 2\.400"):
+        build_1d(understated, 2)
