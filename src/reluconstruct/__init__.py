@@ -7,6 +7,7 @@ across architectures.
 """
 
 from .construct import (
+    Construction,
     ConstructionInfeasibleError,
     DeltaChoice,
     DeltaContext,

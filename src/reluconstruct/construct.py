@@ -44,6 +44,7 @@ __all__ = [
     "DeltaChoice",
     "DeltaContext",
     "HolderTarget",
+    "Construction",
     "PAPER_SUFFICIENT",
     "EMPIRICAL_SHRINK",
     "lemma2_interpolant",
@@ -67,6 +68,10 @@ EMPIRICAL_SHRINK = "empirical-shrink"
 # rounding noise on samples that happen to be block-linear is extrapolated by
 # a factor ~(1 + block/gap) per stage, which compounds factorially.
 RESIDUAL_SNAP = 1e-12
+
+# Cap on empirical-shrink candidates.  Halving from below half a unit gap
+# reaches the default floor of 1e-12 in under 40 steps.
+MAX_DELTA_ITERATIONS = 80
 
 
 @dataclass(frozen=True)
@@ -103,16 +108,13 @@ class ResidualTrace:
 
     ``residuals[k]`` holds the stage-k residual at every grid point
     (k = 0 .. n+1); ``lambda_plus[k-1]``/``lambda_minus[k-1]`` the sign
-    classes of stage k; the ``*_grid`` lists the activated sub-network
-    values at every grid point.
+    classes of stage k.
     """
 
     break_indices: np.ndarray
     residuals: list = field(default_factory=list)
     lambda_plus: list = field(default_factory=list)
     lambda_minus: list = field(default_factory=list)
-    g_plus_grid: list = field(default_factory=list)
-    g_minus_grid: list = field(default_factory=list)
 
     def as_document(self) -> dict:
         """Plain-Python dict for the optional trace JSON."""
@@ -140,7 +142,7 @@ def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
     return 3.0 * max_y * prod
 
 
-def lemma2_interpolant(plan: Lemma2Plan, snap_tol: float = RESIDUAL_SNAP):
+def lemma2_interpolant(plan: Lemma2Plan):
     """Two-hidden-layer interpolant with widths exactly ``[2m, 2n+1]``.
 
     Stage 0 fits the break-point values of the sample CPL; stage k subtracts
@@ -162,7 +164,7 @@ def lemma2_interpolant(plan: Lemma2Plan, snap_tol: float = RESIDUAL_SNAP):
     w1 = np.ones((2 * m, 1))
     b1 = -bx[:-1]
 
-    snap = snap_tol * max(1.0, float(np.abs(ys).max()))
+    snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
     trace = ResidualTrace(break_indices=bidx)
 
     f = ys.astype(float).copy()
@@ -199,8 +201,6 @@ def lemma2_interpolant(plan: Lemma2Plan, snap_tol: float = RESIDUAL_SNAP):
 
         gp_grid = np.maximum(np.interp(xs, bx, gp_break), 0.0)
         gm_grid = np.maximum(np.interp(xs, bx, gm_break), 0.0)
-        trace.g_plus_grid.append(gp_grid)
-        trace.g_minus_grid.append(gm_grid)
         f = f - gp_grid + gm_grid
         trace.residuals.append(f.copy())
 
@@ -233,7 +233,6 @@ class DeltaPolicy:
     target: float | None = None
     floor: float = 1e-12
     shrink: float = 0.5
-    max_iterations: int = 80
 
     def __post_init__(self):
         if self.mode not in (PAPER_SUFFICIENT, EMPIRICAL_SHRINK):
@@ -305,7 +304,7 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
     budget = context.budget if policy.target is None else policy.target
     delta = policy.shrink * half_gap
     err = None
-    for it in range(policy.max_iterations):
+    for it in range(MAX_DELTA_ITERATIONS):
         err = context.h_error(delta)
         if err <= budget:
             return DeltaChoice(delta=delta, iterations=it + 1, h_error=err)
@@ -313,7 +312,7 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
             break
         delta = max(delta * policy.shrink, policy.floor)
     raise ConstructionInfeasibleError(
-        f"don't-care contribution {err:.3e} still exceeds budget {budget:.3e} "
+        f"measured error {err:.3e} still exceeds budget {budget:.3e} "
         f"at the floor width {delta:.3e}",
         achieved=err,
         delta=delta,
@@ -350,17 +349,17 @@ class HolderTarget:
         return out
 
 
-def spot_check_holder(target: HolderTarget, seed: int = 0, pairs: int = 200) -> float:
+def spot_check_holder(target: HolderTarget) -> float:
     """Worst observed ``|f(x)-f(y)| / (nu ||x-y||^alpha)`` over sampled pairs.
 
-    The pairs are ``pairs`` random ones plus the axis neighbours of a dyadic
+    The pairs are 200 seeded random ones plus the axis neighbours of a dyadic
     grid of at most 4096 points with spacing ``h = 2^-floor(12/d)``: random
     pairs alone miss a constant that is reached only near one point.  A soft
     check: callers warn when the ratio exceeds 1, they do not fail.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.random((pairs, target.d))
-    y = rng.random((pairs, target.d))
+    rng = np.random.default_rng(0)
+    x = rng.random((200, target.d))
+    y = rng.random((200, target.d))
     dist = np.linalg.norm(x - y, axis=1)
     ok = dist > 1e-12
     num = np.abs(target(x) - target(y))[ok]
@@ -409,13 +408,21 @@ def _shifted_samples(target: HolderTarget, points: np.ndarray, f0: float, lift: 
 
 
 @dataclass
-class Construction1D:
-    """A built 1-D approximant plus the data the CLI reports."""
+class Construction:
+    """A built Hoelder approximant plus the data the CLI reports.
+
+    ``grid`` holds the abscissae the lemma-2 interpolant fits: the punctured
+    grid in d = 1, the padded cell codes in d > 1.  ``n`` is the base grid
+    resolution (``N^2`` for ``{i/N^2}`` in d = 1, cells per axis in d > 1)
+    and ``n_prime`` the lemma-2 block count, which is also the block length.
+    """
 
     net: ReluNetwork
     delta: DeltaChoice
-    grid: np.ndarray
     bound: float
+    grid: np.ndarray
+    n: int
+    n_prime: int
 
 
 def _grid_1d(n_cap: int, blocks: int, delta: float) -> np.ndarray:
@@ -427,7 +434,7 @@ def _grid_1d(n_cap: int, blocks: int, delta: float) -> np.ndarray:
     return xs
 
 
-def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> Construction1D:
+def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> Construction:
     """Hidden-width ``[2N, 2N+1]`` approximant of a 1-D Hoelder target.
 
     Normalizes to unit constant and zero value at 0, lifts by +1, fits the
@@ -485,7 +492,7 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     xs, _, net = build(choice.delta)
     final = affine_post(net, target.nu, f0 - target.nu)
     bound = 2.0 * target.nu * float(big_n) ** (-2.0 * alpha)
-    return Construction1D(net=final, delta=choice, grid=xs, bound=bound)
+    return Construction(final, choice, bound, grid=xs, n=big_n * big_n, n_prime=big_n)
 
 
 def theorem_d1(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> ReluNetwork:
@@ -559,18 +566,7 @@ def _ceil_sqrt_power(n: int, d: int) -> int:
     return k
 
 
-@dataclass
-class ConstructionDD:
-    """A built d>1 approximant plus the data the CLI reports."""
-
-    net: ReluNetwork
-    delta: DeltaChoice
-    n: int
-    n_prime: int
-    bound: float
-
-
-def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> ConstructionDD:
+def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> Construction:
     """Three-hidden-layer approximant of a d>1 Hoelder target.
 
     Projects the cube onto the line with the staircase encoder, fits the
@@ -642,7 +638,7 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     net = compose(phibar, psi)
     final = affine_post(net, target.nu, f0 - target.nu * sqd)
     bound = 2.0 * (2.0 * sqd) ** alpha * target.nu * float(big_n) ** (-2.0 * alpha / d)
-    return ConstructionDD(net=final, delta=choice, n=n, n_prime=n_prime, bound=bound)
+    return Construction(final, choice, bound, grid=xs, n=n, n_prime=n_prime)
 
 
 def theorem_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> ReluNetwork:
@@ -654,20 +650,14 @@ def theorem_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = No
 # CPL absorption (closure property)
 
 
-def corollary32_check(
-    g: CplFunction,
-    m: int,
-    n: int,
-    epsilon: float,
-    delta_floor: float = 1e-12,
-    probe_count: int = 4001,
-):
+def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     """Drive a ``[2m, 2n+1]`` network within ``epsilon`` of a CPL in L1 on [0, 1].
 
     Shifts g to be nonnegative, lays the interpolation grid so every break
     of g sits on a kept grid point or inside a width-delta don't-care
-    sliver, fits, un-shifts, and shrinks delta until the exact piecewise
-    distance to g is within budget.  Returns ``(network, achieved_error)``.
+    sliver, fits, un-shifts, and halves delta from ``delta_cap`` down to a
+    floor of 1e-12 until the exact piecewise distance to g is within
+    budget.  Returns ``(network, achieved_error)``.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -696,6 +686,9 @@ def corollary32_check(
     gaps = np.diff(np.concatenate(([0.0], interior, [1.0])))
     delta_cap = float(np.min(gaps)) / max(4, n + 2)
 
+    policy = DeltaPolicy(floor=1e-12)
+
+    @functools.lru_cache(maxsize=1)
     def build(delta: float):
         fixed = {0: 0.0}
         extension = False
@@ -735,8 +728,14 @@ def corollary32_check(
         net, _ = lemma2_interpolant(plan)
         return xs, affine_post(net, 1.0, -shift)
 
-    def measure(xs: np.ndarray, net: ReluNetwork) -> float:
-        probes = [np.linspace(0.0, 1.0, probe_count)]
+    def measure(delta: float) -> float:
+        try:
+            xs, net = build(delta)
+        except ResolutionError:
+            if delta <= policy.floor:
+                raise
+            return math.inf  # a colliding width: keep shrinking
+        probes = [np.linspace(0.0, 1.0, 4001)]
         for j in range(1, m + 1):
             lo, hi = xs[j * (n + 1) - 1], xs[j * (n + 1)]
             pad = hi - lo
@@ -744,22 +743,7 @@ def corollary32_check(
         extracted = _extract_cpl(net, np.concatenate(probes))
         return exact_l1_cpl(extracted, g, 0.0, 1.0)
 
-    delta = delta_cap
-    achieved = None
-    while True:
-        try:
-            xs, net = build(delta)
-            achieved = measure(xs, net)
-            if achieved <= epsilon:
-                return net, achieved
-        except ResolutionError:
-            if delta <= delta_floor:
-                raise
-        if delta <= delta_floor:
-            raise ConstructionInfeasibleError(
-                f"exact L1 distance {achieved:.3e} exceeds epsilon {epsilon:.3e} "
-                f"at the floor width",
-                achieved=achieved,
-                delta=delta,
-            )
-        delta = max(0.5 * delta, delta_floor)
+    # the search starts at a quarter of min_gap, which is exactly delta_cap
+    ctx = DeltaContext(min_gap=4.0 * delta_cap, budget=epsilon, h_error=measure)
+    choice = choose_delta(policy, ctx)
+    return build(choice.delta)[1], choice.h_error

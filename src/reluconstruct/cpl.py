@@ -35,6 +35,9 @@ __all__ = [
 # merging would hide upstream don't-care-width bugs.
 MIN_BREAK_GAP = 1e-13
 
+# relative slope change between adjacent probe segments that flags a kink
+SLOPE_TOL = 1e-6
+
 
 def _check_increasing(xs, what):
     xs = np.asarray(xs, dtype=float)
@@ -194,7 +197,7 @@ def exact_l1_cpl(f: CplFunction, g: CplFunction, a: float, b: float) -> float:
     return float(total)
 
 
-def _extract_cpl(net: ReluNetwork, probes: np.ndarray, slope_tol: float = 1e-6) -> CplFunction:
+def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     """Slope-change detection over an explicit probe set.
 
     Each maximal run of flagged probe segments is resolved by intersecting
@@ -212,7 +215,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray, slope_tol: float = 1e-6) 
     dx = np.diff(probes)
     slopes = np.diff(ys) / dx
     scale = np.maximum(np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])), 1.0)
-    flagged = np.abs(np.diff(slopes)) > slope_tol * scale
+    flagged = np.abs(np.diff(slopes)) > SLOPE_TOL * scale
 
     kinks = []
     idx = np.nonzero(flagged)[0]
@@ -230,7 +233,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray, slope_tol: float = 1e-6) 
         runs.append((run_start, prev))
     for a_i, b_i in runs:
         sl, sr = slopes[a_i], slopes[b_i + 1]
-        separated = abs(sl - sr) > slope_tol * max(abs(sl), abs(sr), 1.0)
+        separated = abs(sl - sr) > SLOPE_TOL * max(abs(sl), abs(sr), 1.0)
         if b_i - a_i <= 1 and separated:
             # one kink in the run: intersect the pure lines on either side
             xa, ya = probes[a_i], ys[a_i]

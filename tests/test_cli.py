@@ -126,6 +126,23 @@ class TestSweep:
         assert run(["sweep", "--target", "cone", "--d", "1", "--N", "2", "4",
                     "--out", tmp_path / "s.csv"]) == 2
 
+    def test_needs_three_distinct_points(self, tmp_path):
+        assert run(["sweep", "--target", "cone", "--d", "1", "--N", "4", "4", "8",
+                    "--out", tmp_path / "s.csv"]) == 2
+
+    def test_config_echoes_delta_target(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        summary = tmp_path / "summary.json"
+        code = run(
+            ["sweep", "--target", "zero", "--d", "1", "--alpha", "1",
+             "--N", "2", "3", "4", "--grid-points", "2000", "--delta-target", "0.001",
+             "--out", out, "--summary", summary]
+        )
+        assert code == 0
+        header = json.loads(out.read_text().splitlines()[0][2:])
+        assert header["config"]["delta_target"] == 0.001
+        assert json.loads(summary.read_text())["config"]["delta_target"] == 0.001
+
 
 class TestCost:
     def test_cost_csv(self, tmp_path):

@@ -116,9 +116,13 @@ class TestInvariants:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 4)])
     def test_one_sided_activation_at_grid_points(self, m, n):
         rng = np.random.default_rng(11 * m + 5 * n)
-        _, _, _, trace = build_random(rng, m, n)
-        for gp, gm in zip(trace.g_plus_grid, trace.g_minus_grid):
-            assert np.all(np.minimum(gp, gm) <= 1e-12)
+        xs, _, net, _ = build_random(rng, m, n)
+        (w1, b1), (w2, b2), _ = net.layers
+        hidden = np.maximum(w1 @ xs[None, :] + b1[:, None], 0.0)
+        units = np.maximum(w2 @ hidden + b2[:, None], 0.0)
+        # stage k's plus and minus units are the second-layer rows 2k-1, 2k
+        for k in range(1, n + 1):
+            assert np.all(np.minimum(units[2 * k - 1], units[2 * k]) <= 1e-12)
 
 
 class TestPreconditions:

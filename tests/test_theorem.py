@@ -8,6 +8,7 @@ import pytest
 from reluconstruct import (
     EMPIRICAL_SHRINK,
     PAPER_SUFFICIENT,
+    Construction,
     ConstructionInfeasibleError,
     CplFunction,
     DegenerateGridError,
@@ -257,6 +258,31 @@ class TestCorollary32:
         assert exact <= 1e-3
         assert err == pytest.approx(exact, rel=0.05, abs=1e-6)
 
+    def test_grid_collision_then_recovery(self, monkeypatch):
+        # delta_cap = 1/4 is wider than the 0.075 grid gap at (4, 2), so the
+        # first width collides and the halved one fits
+        raised, fits = [], []
+
+        class CountingResolutionError(ResolutionError):
+            def __init__(self, *args):
+                super().__init__(*args)
+                raised.append(self)
+
+        lemma2 = construct.lemma2_interpolant
+
+        def counting_lemma2(plan):
+            fits.append(plan)
+            return lemma2(plan)
+
+        monkeypatch.setattr(construct, "ResolutionError", CountingResolutionError)
+        monkeypatch.setattr(construct, "lemma2_interpolant", counting_lemma2)
+        g = CplFunction([0.0, 1.0], [0.7, 0.7])
+        net, err = corollary32_check(g, 4, 2, 1e-3)
+        assert len(raised) == 1
+        assert len(fits) == 1
+        assert err == 0.0
+        assert net.hidden_widths == [8, 5]
+
 
 def takagi(levels):
     """Truncated Takagi function ``sum_{k<levels} 2^-k dist(2^k x, Z)``.
@@ -280,3 +306,15 @@ def test_certificate_spot_check_warns():
     understated = HolderTarget(f=takagi(16), d=1, alpha=1.0, nu=5.0)
     with pytest.warns(RuntimeWarning, match=r"ratio 2\.400"):
         build_1d(understated, 2)
+
+
+@pytest.mark.parametrize("big_n", [2, 5])
+def test_builders_return_one_record(big_n):
+    c1 = build_1d(holder_family("cone", 1, 0.5, 1.0), big_n)
+    assert type(c1) is Construction
+    assert (c1.n, c1.n_prime) == (big_n * big_n, big_n)
+    assert c1.grid.size == big_n * (big_n + 1) + 1
+    for d in (2, 3):
+        cd = build_dd(holder_family("cone", d, 1.0, 1.0), 2 * big_n)
+        assert type(cd) is Construction
+        assert cd.grid.size == cd.n_prime * (cd.n_prime + 1) + 1
