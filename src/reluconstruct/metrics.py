@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import HolderTarget
+from .cpl import net_to_cpl_exact
 from .errors import CertificateError, RegistryError, ResourceError, ShapeError
 from .network import ReluNetwork, evaluate_batch
 
@@ -23,6 +24,15 @@ __all__ = [
 # evaluation happens in fixed-size chunks in index order, so sums are
 # bit-stable regardless of how callers parallelize around this module
 _CHUNK = 1 << 18
+# rows per dense evaluation call inside a chunk: keeps each layer's
+# activations in cache without changing any row's arithmetic
+_BLOCK = 4096
+# a second weight matrix this close to rank 1 (relative to its largest
+# entry) is factored; compose's fused layers measure below 1e-15
+_RANK1_TOL = 1e-12
+# relative widening of the outer compile interval: keeps it nonempty when
+# every table is constant and covers rounding in the per-point sums
+_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,47 +86,100 @@ def _axis_points(grid: GridSpec):
 
 
 def _chunks(grid: GridSpec):
-    """Yield (points (k, d), weights (k,)) in a fixed deterministic order."""
+    """Yield (points (k, d), weights (k,), axis indices (k, d)) in a fixed order."""
     pts, wts = _axis_points(grid)
     p, d = grid.points_per_axis, grid.d
     total = grid.total_points
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.empty((idx.size, d))
-        weights = np.ones(idx.size)
-        rest = idx.copy()
+        rest = np.arange(start, min(start + _CHUNK, total))
+        axes = np.empty((rest.size, d), dtype=np.intp)
+        weights = np.ones(rest.size)
         for axis in range(d - 1, -1, -1):
-            j = rest % p
-            coords[:, axis] = pts[j]
-            weights *= wts[j]
+            axes[:, axis] = rest % p
+            weights *= wts[axes[:, axis]]
             rest //= p
-        yield coords, weights
+        yield pts[axes], weights, axes
 
 
-def _diff_values(f, net: ReluNetwork, coords: np.ndarray) -> np.ndarray:
-    fv = np.asarray(f(coords), dtype=float)
-    if fv.shape != (coords.shape[0],):
-        raise ShapeError("target must map (k, d) points to (k,) values")
-    return np.abs(fv - evaluate_batch(net, coords))
+def _compile(net: ReluNetwork, pts: np.ndarray):
+    """Per-axis tables and an outer 1-D CPL read from the weights alone.
+
+    The network's value at grid point ``(pts[j_0], ..., pts[j_{d-1}])`` is
+    ``outer(sum_a tables[a][j_a])``.  For d = 1 the table is ``pts`` and
+    ``outer`` the whole network.  For d > 1 every first-layer row must see
+    one coordinate and the second weight matrix must be rank 1,
+    ``W2 = u v^T``: the tables are ``v . relu(W1 x + b1)`` split by axis and
+    ``outer`` is the 1-D network ``((u, b2), *layers[2:])``.  Returns None
+    when the weights have neither form.
+    """
+    if net.input_dim == 1:
+        return [pts], net_to_cpl_exact(net, 0.0, 1.0)
+    if len(net.layers) < 2:
+        return None
+    (w1, b1), (w2, b2) = net.layers[:2]
+    scale = np.abs(w2).max()
+    if scale == 0 or np.count_nonzero(w1, axis=1).max() > 1:
+        return None
+    c = np.argmax(np.abs(w2).max(axis=0))
+    r = np.argmax(np.abs(w2[:, c]))
+    u, v = w2[:, c], w2[r] / w2[r, c]
+    if np.abs(w2 - np.outer(u, v)).max() > _RANK1_TOL * scale:
+        return None
+    axis_of = np.argmax(np.abs(w1), axis=1)  # all-zero rows are constants: axis 0
+    tables = []
+    for a in range(net.input_dim):
+        rows = axis_of == a
+        h = np.maximum(np.outer(pts, w1[rows, a]) + b1[rows], 0.0)
+        tables.append(h @ v[rows])
+    lo = sum(t.min() for t in tables)
+    hi = sum(t.max() for t in tables)
+    pad = _PAD * max(1.0, abs(lo), abs(hi))
+    tail = ReluNetwork(1, ((u[:, None], b2), *net.layers[2:]))
+    return tables, net_to_cpl_exact(tail, lo - pad, hi + pad)
+
+
+def _dense(net: ReluNetwork, coords: np.ndarray) -> np.ndarray:
+    """``evaluate_batch`` in cache-sized row blocks; each row's value is unchanged."""
+    return np.concatenate(
+        [evaluate_batch(net, coords[s : s + _BLOCK]) for s in range(0, len(coords), _BLOCK)]
+    )
+
+
+def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
+    """Yield ``(|f - net|, weights)`` per chunk of ``_chunks``, in its order.
+
+    The network is compiled once (see ``_compile``); one without a compiled
+    form is evaluated densely.
+    """
+    if net.input_dim != grid.d:
+        raise ShapeError("network input dimension must match the grid")
+    compiled = _compile(net, _axis_points(grid)[0])
+    for coords, weights, axes in _chunks(grid):
+        fv = np.asarray(f(coords), dtype=float)
+        if fv.shape != (coords.shape[0],):
+            raise ShapeError("target must map (k, d) points to (k,) values")
+        if compiled is None:
+            nv = _dense(net, coords)
+        else:
+            tables, outer = compiled
+            z = sum(t[j] for t, j in zip(tables, axes.T))
+            nv = np.interp(z, outer.breaks, outer.values)
+        yield np.abs(fv - nv), weights
 
 
 def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:
     """Composite quadrature estimate of ``integral |f - net|`` over the cube."""
-    if net.input_dim != grid.d:
-        raise ShapeError("network input dimension must match the grid")
     total = 0.0
-    for coords, weights in _chunks(grid):
-        total += float(np.sum(_diff_values(f, net, coords) * weights))
+    for err, weights in _abs_errors(f, net, grid):
+        total += float(np.sum(err * weights))
     return total
 
 
 def linf_error(f, net: ReluNetwork, grid: GridSpec) -> float:
     """Max ``|f - net|`` over the grid points: a lower bound on the true sup."""
-    if net.input_dim != grid.d:
-        raise ShapeError("network input dimension must match the grid")
     worst = 0.0
-    for coords, _ in _chunks(grid):
-        worst = max(worst, float(np.max(_diff_values(f, net, coords))))
+    for err, _ in _abs_errors(f, net, grid):
+        worst = max(worst, float(np.max(err)))
     return worst
 
 

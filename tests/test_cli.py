@@ -143,6 +143,14 @@ class TestSweep:
         assert header["config"]["delta_target"] == 0.001
         assert json.loads(summary.read_text())["config"]["delta_target"] == 0.001
 
+    def test_d2_csv_independent_of_threads(self, tmp_path):
+        args = ["sweep", "--target", "cone", "--d", "2", "--alpha", "0.5",
+                "--N", "4", "9", "16", "--grid-points", "256"]
+        one, two = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        assert run(args + ["--threads", "1", "--out", one]) == 0
+        assert run(args + ["--threads", "2", "--out", two]) == 0
+        assert one.read_bytes() == two.read_bytes()
+
 
 class TestCost:
     def test_cost_csv(self, tmp_path):

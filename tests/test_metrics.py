@@ -8,20 +8,26 @@ from reluconstruct import (
     CertificateError,
     CplFunction,
     GridSpec,
+    Lemma2Plan,
     RegistryError,
     ResourceError,
     SampleSet,
     ShapeError,
+    build_1d,
+    build_dd,
     default_grid,
     exact_l1_cpl,
     holder_family,
     l1_error,
     lemma1_interpolant,
+    lemma2_interpolant,
     linf_error,
     net_to_cpl_exact,
+    psi_projection,
     rate_fit,
     spot_check_holder,
 )
+from reluconstruct import metrics
 from reluconstruct.network import ReluNetwork, evaluate_batch
 
 
@@ -110,6 +116,134 @@ class TestLinfError:
         f = lambda pts: np.sin(3 * pts[:, 0])
         g = GridSpec(1, 20000)
         assert l1_error(f, net, g) <= linf_error(f, net, g) + 1e-15
+
+
+# agreement of the compiled quadrature with dense evaluation, the same
+# tolerance bench/workloads.py admits for a fast path
+ATOL, RTOL = 1e-11, 1e-9
+RULES = ("midpoint", "trapezoid")
+
+
+def dense_reference(f, net, grid):
+    """(L1, Linf) from plain ``evaluate_batch`` over the same chunks."""
+    total, worst = 0.0, 0.0
+    for coords, weights, _ in metrics._chunks(grid):
+        err = np.abs(f(coords) - evaluate_batch(net, coords))
+        total += float(np.sum(err * weights))
+        worst = max(worst, float(np.max(err)))
+    return total, worst
+
+
+def assert_agrees(f, net, grid):
+    ref_l1, ref_linf = dense_reference(f, net, grid)
+    assert abs(l1_error(f, net, grid) - ref_l1) <= ATOL + RTOL * abs(ref_l1)
+    assert abs(linf_error(f, net, grid) - ref_linf) <= ATOL + RTOL * abs(ref_linf)
+
+
+def random_net(rng, d, depth, width=6):
+    dims = [d] + [width] * depth + [1]
+    return ReluNetwork(d, tuple(
+        (rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])
+    ))
+
+
+def cone(d):
+    return holder_family("cone", d, 0.5, 1.0)
+
+
+def tilted(d):
+    """The cone plus a slope that differs per axis: a mirrored or swapped
+    axis changes its error, unlike the cone's."""
+    slopes = np.arange(1, d + 1) / (4.0 * d)
+    return lambda pts: cone(d)(pts) + pts @ slopes
+
+
+def count_dense_calls(monkeypatch):
+    calls = []
+
+    def counted(net, xs):
+        calls.append(len(xs))
+        return evaluate_batch(net, xs)
+
+    monkeypatch.setattr(metrics, "evaluate_batch", counted)
+    return calls
+
+
+class TestCompiledQuadrature:
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_random_1d_networks(self, depth, rule):
+        rng = np.random.default_rng(40 + depth)
+        for _ in range(5):
+            net = random_net(rng, 1, depth)
+            assert_agrees(lambda pts: np.sin(5 * pts[:, 0]), net, GridSpec(1, 20001, rule))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_lemma_interpolants(self, rule):
+        rng = np.random.default_rng(12)
+        f = tilted(1)
+        grid = GridSpec(1, 50001, rule)
+        xs = np.linspace(0.0, 1.0, 9)
+        assert_agrees(f, lemma1_interpolant(SampleSet(xs, rng.uniform(-1, 1, 9))), grid)
+        for m, n in ((1, 1), (2, 3), (4, 4)):
+            xs = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, m * (n + 1) - 1))))
+            plan = Lemma2Plan(m, n, SampleSet(xs, rng.uniform(0, 2, xs.size), m, n))
+            assert_agrees(f, lemma2_interpolant(plan)[0], grid)
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("big_n", [2, 3, 5, 8, 16, 32, 64])
+    def test_build_1d(self, big_n, rule):
+        assert_agrees(tilted(1), build_1d(cone(1), big_n).net, GridSpec(1, 100001, rule))
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("d,big_n,p", [(2, 4, 256), (2, 9, 256), (2, 16, 256),
+                                           (3, 8, 40), (3, 27, 40)])
+    def test_build_dd(self, d, big_n, p, rule):
+        assert_agrees(tilted(d), build_dd(cone(d), big_n).net, GridSpec(d, p, rule))
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_psi_projection(self, d, rule):
+        assert_agrees(tilted(d), psi_projection(4, d, 0.01), GridSpec(d, 64, rule))
+
+    def test_compiled_paths_skip_dense_evaluation(self, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        rng = np.random.default_rng(5)
+        l1_error(cone(2), build_dd(cone(2), 9).net, GridSpec(2, 128))
+        l1_error(cone(3), psi_projection(3, 3, 0.01), GridSpec(3, 16))
+        l1_error(cone(1), random_net(rng, 1, 3), GridSpec(1, 1000))
+        linf_error(cone(1), build_1d(cone(1), 8).net, GridSpec(1, 1000))
+        # every hidden unit off on the cube: constant tables, a one-point z range
+        constant = ReluNetwork(2, ((np.eye(2), np.full(2, -2.0)), (np.ones((1, 2)), [0.5])))
+        assert_agrees(tilted(2), constant, GridSpec(2, 64))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["rank-2", "dense", "two-nonzero-row"])
+    def test_other_networks_fall_back(self, case, monkeypatch):
+        rng = np.random.default_rng(6)
+        if case == "rank-2":
+            (w1, b1), (w2, b2), *rest = build_dd(cone(2), 9).net.layers
+            w2 = w2.copy()
+            w2[0, 0] += 0.5
+            net = ReluNetwork(2, ((w1, b1), (w2, b2), *rest))
+        elif case == "dense":
+            net = random_net(rng, 2, 2)
+        else:
+            net = psi_projection(4, 2, 0.01)
+            (w1, b1), last = net.layers
+            w1 = w1.copy()
+            w1[0, 1] = 0.25
+            net = ReluNetwork(2, ((w1, b1), last))
+        calls = count_dense_calls(monkeypatch)
+        assert_agrees(tilted(2), net, GridSpec(2, 128))
+        assert len(calls) > 0
+
+    def test_blocked_fallback_is_bit_identical(self):
+        # one full chunk, as the fallback sees it
+        net = random_net(np.random.default_rng(7), 2, 2, width=64)
+        coords, _, _ = next(metrics._chunks(GridSpec(2, 512)))
+        assert len(coords) == metrics._CHUNK
+        assert np.array_equal(metrics._dense(net, coords), evaluate_batch(net, coords))
 
 
 class TestHolderFamily:
