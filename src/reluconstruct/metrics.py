@@ -24,9 +24,6 @@ __all__ = [
 # evaluation happens in fixed-size chunks in index order, so sums are
 # bit-stable regardless of how callers parallelize around this module
 _CHUNK = 1 << 18
-# rows per dense evaluation call inside a chunk: keeps each layer's
-# activations in cache without changing any row's arithmetic
-_BLOCK = 4096
 # a second weight matrix this close to rank 1 (relative to its largest
 # entry) is factored; compose's fused layers measure below 1e-15
 _RANK1_TOL = 1e-12
@@ -138,13 +135,6 @@ def _compile(net: ReluNetwork, pts: np.ndarray):
     return tables, net_to_cpl_exact(tail, lo - pad, hi + pad)
 
 
-def _dense(net: ReluNetwork, coords: np.ndarray) -> np.ndarray:
-    """``evaluate_batch`` in cache-sized row blocks; each row's value is unchanged."""
-    return np.concatenate(
-        [evaluate_batch(net, coords[s : s + _BLOCK]) for s in range(0, len(coords), _BLOCK)]
-    )
-
-
 def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     """Yield ``(|f - net|, weights)`` per chunk of ``_chunks``, in its order.
 
@@ -159,7 +149,7 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
         if fv.shape != (coords.shape[0],):
             raise ShapeError("target must map (k, d) points to (k,) values")
         if compiled is None:
-            nv = _dense(net, coords)
+            nv = evaluate_batch(net, coords)
         else:
             tables, outer = compiled
             z = sum(t[j] for t, j in zip(tables, axes.T))

@@ -140,8 +140,8 @@ def assert_agrees(f, net, grid):
     assert abs(linf_error(f, net, grid) - ref_linf) <= ATOL + RTOL * abs(ref_linf)
 
 
-def random_net(rng, d, depth, width=6):
-    dims = [d] + [width] * depth + [1]
+def random_net(rng, d, depth):
+    dims = [d] + [6] * depth + [1]
     return ReluNetwork(d, tuple(
         (rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])
     ))
@@ -237,13 +237,6 @@ class TestCompiledQuadrature:
         calls = count_dense_calls(monkeypatch)
         assert_agrees(tilted(2), net, GridSpec(2, 128))
         assert len(calls) > 0
-
-    def test_blocked_fallback_is_bit_identical(self):
-        # one full chunk, as the fallback sees it
-        net = random_net(np.random.default_rng(7), 2, 2, width=64)
-        coords, _, _ = next(metrics._chunks(GridSpec(2, 512)))
-        assert len(coords) == metrics._CHUNK
-        assert np.array_equal(metrics._dense(net, coords), evaluate_batch(net, coords))
 
 
 class TestHolderFamily:
