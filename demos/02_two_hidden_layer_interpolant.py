@@ -25,7 +25,7 @@ xs = np.cumsum(rng.uniform(0.5, 1.5, count))
 xs = (xs - xs[0]) / (xs[-1] - xs[0])
 ys = rng.uniform(0.0, 2.0, count)
 
-net, trace = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, ys, m, n)))
+net, trace = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, ys, m, n)), residuals=True)
 print(f"widths: {net.hidden_widths} for {count} samples (m={m}, n={n})")
 
 print("\nresidual after each stage (max |f_k| over the grid, and zeros):")

@@ -296,7 +296,7 @@ def _suite_lemma2(seed: int, m: int, n: int):
     xs = (xs - xs[0]) / (xs[-1] - xs[0])
     ys = rng.uniform(0.0, 2.0, xs.size)
     plan = Lemma2Plan(m, n, SampleSet(xs, ys, m, n))
-    net, trace = lemma2_interpolant(plan)
+    net, trace = lemma2_interpolant(plan, residuals=True)
     node_err = max(abs(evaluate(net, x) - y) for x, y in zip(xs, ys))
     dense = np.linspace(0.0, 1.0, 100001)
     sup = float(np.max(np.abs(evaluate_batch(net, dense))))

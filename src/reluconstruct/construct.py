@@ -20,6 +20,7 @@ import numpy as np
 from .cpl import (
     CplFunction,
     SampleSet,
+    _Mesh,
     _extract_cpl,
     _fit_one_layer_row,
     cpl_sup,
@@ -107,7 +108,8 @@ class ResidualTrace:
     """Stage-by-stage record of the two-hidden-layer construction.
 
     ``residuals[k]`` holds the stage-k residual at every grid point
-    (k = 0 .. n+1); ``lambda_plus[k-1]``/``lambda_minus[k-1]`` the sign
+    (k = 0 .. n+1) when ``lemma2_interpolant`` was asked for them, and is
+    empty otherwise; ``lambda_plus[k-1]``/``lambda_minus[k-1]`` the sign
     classes of stage k.
     """
 
@@ -142,7 +144,7 @@ def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
     return 3.0 * max_y * prod
 
 
-def lemma2_interpolant(plan: Lemma2Plan):
+def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     """Two-hidden-layer interpolant with widths exactly ``[2m, 2n+1]``.
 
     Stage 0 fits the break-point values of the sample CPL; stage k subtracts
@@ -150,9 +152,11 @@ def lemma2_interpolant(plan: Lemma2Plan):
     point of every block, extrapolating the line through
     ``(x_{j(n+1)+k-1}, 0)`` and ``(x_{j(n+1)+k}, f_k(x_{j(n+1)+k}))`` to the
     block's break points.  The output row alternates signs ``[1, 1, -1, ...,
-    1, -1]``.
+    1, -1]``.  Every stage interpolates its break-point values onto the
+    sample grid through one mesh of the grid among the break points.
 
-    Returns ``(network, trace)``.
+    Returns ``(network, trace)``; the trace holds the n + 2 grid-size
+    residual vectors only with ``residuals=True``.
     """
     m, n = plan.m, plan.n
     xs, ys = plan.samples.xs, plan.samples.ys
@@ -168,15 +172,18 @@ def lemma2_interpolant(plan: Lemma2Plan):
     trace = ResidualTrace(break_indices=bidx)
 
     f = ys.astype(float).copy()
-    trace.residuals.append(f.copy())
+    if residuals:
+        trace.residuals.append(f.copy())
 
+    mesh = _Mesh(xs, bx)
     rows = []
     # stage 0: fit the sample CPL at the break points
     g0_break = f[bidx].copy()
     rows.append(_fit_one_layer_row(bx, g0_break))
-    g0_grid = np.maximum(np.interp(xs, bx, g0_break), 0.0)
+    g0_grid = np.maximum(mesh(g0_break), 0.0)
     f = f - g0_grid
-    trace.residuals.append(f.copy())
+    if residuals:
+        trace.residuals.append(f.copy())
 
     block_start = (n + 1) * np.arange(m)
     # block ends x_{j(n+1)} and x_{j(n+1)+n}: the break points 2j and 2j+1
@@ -192,17 +199,17 @@ def lemma2_interpolant(plan: Lemma2Plan):
         xa = xs[block_start + k - 1]
         slope = np.abs(vals) / (xs[block_start + k] - xa)
         ends = slope[:, None] * (block_ends - xa[:, None])
-        gp_break = np.zeros(2 * m + 1)
-        gm_break = np.zeros(2 * m + 1)
-        gp_break[:-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
-        gm_break[:-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
-        rows.append(_fit_one_layer_row(bx, gp_break))
-        rows.append(_fit_one_layer_row(bx, gm_break))
+        # rows: the plus piece, then the minus piece
+        g_break = np.zeros((2, 2 * m + 1))
+        g_break[0, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
+        g_break[1, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
+        rows.append(_fit_one_layer_row(bx, g_break[0]))
+        rows.append(_fit_one_layer_row(bx, g_break[1]))
 
-        gp_grid = np.maximum(np.interp(xs, bx, gp_break), 0.0)
-        gm_grid = np.maximum(np.interp(xs, bx, gm_break), 0.0)
+        gp_grid, gm_grid = np.maximum(mesh(g_break), 0.0)
         f = f - gp_grid + gm_grid
-        trace.residuals.append(f.copy())
+        if residuals:
+            trace.residuals.append(f.copy())
 
     w2 = np.vstack([w for w, _ in rows])
     b2 = np.array([b for _, b in rows])

@@ -4,7 +4,8 @@ Holds the CPL value type, its one-hidden-layer ReLU realization (all-ones
 first layer, biases at the break points, output weights from secant-slope
 differences), exact piecewise L1 integration used as a test oracle, and two
 ways to recover a CPL view of a 1-D network: black-box probing with slope
-detection, and exact layer-by-layer propagation.
+detection, and exact layer-by-layer propagation, whose refinement of every
+unit onto the growing break mesh reproduces ``np.interp`` bit for bit.
 """
 
 from __future__ import annotations
@@ -274,12 +275,48 @@ def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 200
     return _extract_cpl(net, np.linspace(a, b, probe_count))
 
 
+class _Mesh:
+    """Where each point of a nondecreasing ``x`` lies among the increasing nodes ``xp``.
+
+    Found once; calling the mesh with values ``fp`` of shape
+    ``(..., len(xp))`` then interpolates every row at ``x`` with
+    ``np.interp``'s arithmetic, bit for bit: ``slope[j] * (x - xp[j]) +
+    fp[j]`` inside segment ``j``, with ``slope = diff(fp) / diff(xp)``; the
+    node value itself at a node; ``fp[0]`` left of ``xp[0]`` and ``fp[-1]``
+    at or right of ``xp[-1]``.  Values must be finite.  The result is
+    C-ordered: a matrix product with an F-ordered operand takes another BLAS
+    path and rounds differently.
+    """
+
+    def __init__(self, x: np.ndarray, xp: np.ndarray):
+        self.dxp = np.diff(xp)
+        pos = np.searchsorted(xp, x, side="right") - 1
+        seg = np.clip(pos, 0, xp.size - 2)
+        self.t = x - xp[seg]
+        # x is nondecreasing, so gathering per segment is a repeat
+        self.counts = np.bincount(seg, minlength=self.dxp.size)
+        # points that take a node value unchanged: outside the mesh, at its
+        # right end, or on a node
+        node = np.clip(pos, 0, xp.size - 1)
+        self.exact = np.nonzero((pos < 0) | (pos == xp.size - 1) | (x == xp[node]))[0]
+        self.node = node[self.exact]
+
+    def __call__(self, fp: np.ndarray) -> np.ndarray:
+        out = np.repeat(np.diff(fp, axis=-1) / self.dxp, self.counts, axis=-1)
+        out *= self.t
+        out += np.repeat(fp[..., :-1], self.counts, axis=-1)
+        out[..., self.exact] = np.take(fp, self.node, axis=-1)
+        return out
+
+
 def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     """Exact CPL representation of a 1-D network on ``[a, b]``.
 
     Propagates break points layer by layer: affine maps keep the mesh, each
     activation inserts the zero crossings of every unit before clamping.
-    Exact up to f64 interpolation arithmetic, unlike the probing oracle.
+    Exact up to f64 interpolation arithmetic, unlike the probing oracle.  The
+    refinement onto the new mesh reproduces ``np.interp`` of every unit row
+    bit for bit.
     """
     if net.input_dim != 1:
         raise ShapeError("net_to_cpl_exact needs a 1-D network")
@@ -301,7 +338,7 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
             gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
             keep = np.concatenate(([True], np.diff(new_breaks) > gap))
             new_breaks = new_breaks[keep]
-            vals = np.vstack([np.interp(new_breaks, breaks, row) for row in vals])
+            vals = _Mesh(new_breaks, breaks)(vals)
             breaks = new_breaks
         vals = np.maximum(vals, 0.0)
     return CplFunction(breaks, vals[0])

@@ -86,7 +86,9 @@ def test_criterion_2_lemma2_contract():
         for n in range(1, 7):
             xs = bounded_grid(rng, m * (n + 1) + 1)
             ys = rng.uniform(0.0, 2.0, xs.size)
-            net, trace = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, ys, m, n)))
+            net, trace = lemma2_interpolant(
+                Lemma2Plan(m, n, SampleSet(xs, ys, m, n)), residuals=True
+            )
 
             node_err = np.max(np.abs(evaluate_batch(net, xs) - ys))
             assert node_err <= 1e-8, f"criterion 2a ({m},{n}): node error {node_err:.2e}"

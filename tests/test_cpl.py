@@ -9,14 +9,18 @@ from reluconstruct import (
     ReluNetwork,
     SampleSet,
     ShapeError,
+    build_1d,
     cpl_from_net_1d,
     eval_cpl,
     evaluate,
     evaluate_batch,
     exact_l1_cpl,
+    holder_family,
     lemma1_interpolant,
     net_to_cpl_exact,
 )
+from reluconstruct import construct
+from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -257,3 +261,84 @@ class TestNetToCplExact:
                     eval_cpl(part, pts), eval_cpl(whole, pts), rtol=0, atol=1e-12,
                     err_msg=f"trial {trial} on [{a}, {b}]",
                 )
+
+    def test_matches_per_row_interp_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for trial in range(120):
+            depth = int(rng.integers(1, 4))
+            widths = [*rng.integers(1, 80, size=depth), 1]
+            widths[-2] = max(widths[-2], 2)
+            layers, prev = [], 1
+            for width in widths:
+                layers.append((rng.standard_normal((width, prev)), rng.standard_normal(width)))
+                prev = width
+            net = ReluNetwork(1, tuple(layers))
+            assert_same_cpl(net_to_cpl_exact(net, -2.0, 2.0), per_row_reference(net, -2.0, 2.0),
+                            f"trial {trial}, widths {widths}")
+
+    def test_build_1d_sliver_compiles_match_per_row_interp(self, monkeypatch):
+        calls = []
+
+        def recorded(net, a, b):
+            calls.append((net, a, b))
+            return real(net, a, b)
+
+        real = construct.net_to_cpl_exact
+        monkeypatch.setattr(construct, "net_to_cpl_exact", recorded)
+        big_n = 64
+        build_1d(holder_family("cone", 1, 0.5, 1.0), big_n)
+        assert len(calls) >= big_n
+        for net, a, b in calls:
+            assert_same_cpl(real(net, a, b), per_row_reference(net, a, b), f"sliver [{a}, {b}]")
+
+
+def per_row_reference(net, a, b):
+    """``net_to_cpl_exact`` with one ``np.interp`` call per unit row: the bit-level reference."""
+    breaks = np.array([float(a), float(b)])
+    vals = breaks[None, :]
+    for li, (w, bias) in enumerate(net.layers):
+        vals = w @ vals + bias[:, None]
+        if li == len(net.layers) - 1:
+            break
+        v0, v1 = vals[:, :-1], vals[:, 1:]
+        u, s = np.nonzero((v0 * v1) < 0)
+        if u.size:
+            x0, x1 = breaks[s], breaks[s + 1]
+            t = v0[u, s] / (v0[u, s] - v1[u, s])
+            new_breaks = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
+            gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
+            new_breaks = new_breaks[np.concatenate(([True], np.diff(new_breaks) > gap))]
+            vals = np.vstack([np.interp(new_breaks, breaks, row) for row in vals])
+            breaks = new_breaks
+        vals = np.maximum(vals, 0.0)
+    return breaks, vals[0]
+
+
+def assert_same_cpl(got, want, msg):
+    breaks, values = want
+    assert np.array_equal(got.breaks, breaks), msg
+    assert np.array_equal(got.values, values), msg
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMesh:
+    """``_Mesh`` against ``np.interp``, bit for bit."""
+
+    @pytest.mark.parametrize("nodes", [12, 2])
+    def test_matches_interp_in_one_and_two_dimensions(self, nodes):
+        rng = np.random.default_rng(41 + nodes)
+        xp = 0.3 + np.cumsum(rng.uniform(0.1, 1.0, nodes)) * 1e-5
+        inside = rng.uniform(xp[0], xp[-1], 200)
+        # every node, the right end twice, and both sides of the mesh
+        x = np.sort(np.concatenate((inside, xp, [xp[-1], xp[0] - 1e-5, xp[-1] + 1e-5])))
+        # magnitudes from 1e-8 to 1e8, both signs
+        fp = rng.choice([-1.0, 1.0], (129, nodes)) * 10.0 ** rng.uniform(-8, 8, (129, nodes))
+        mesh = _Mesh(x, xp)
+        out = mesh(fp)
+        assert out.flags.c_contiguous
+        assert same_bits(out, np.vstack([np.interp(x, xp, row) for row in fp]))
+        for row in fp[:5]:
+            assert same_bits(mesh(row), np.interp(x, xp, row))

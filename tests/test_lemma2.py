@@ -21,11 +21,11 @@ def bounded_grid(rng, count):
     return (xs - xs[0]) / (xs[-1] - xs[0])
 
 
-def build_random(rng, m, n, y_hi=2.0):
+def build_random(rng, m, n, y_hi=2.0, residuals=False):
     xs = bounded_grid(rng, m * (n + 1) + 1)
     ys = rng.uniform(0.0, y_hi, xs.size)
     plan = Lemma2Plan(m, n, SampleSet(xs, ys, m, n))
-    net, trace = lemma2_interpolant(plan)
+    net, trace = lemma2_interpolant(plan, residuals=residuals)
     return xs, ys, net, trace
 
 
@@ -99,11 +99,28 @@ class TestInvariants:
     @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (5, 3)])
     def test_residual_vanishing_schedule(self, m, n):
         rng = np.random.default_rng(31 * m + n)
-        _, _, _, trace = build_random(rng, m, n)
+        _, _, _, trace = build_random(rng, m, n, residuals=True)
         for k in range(n + 1):
             idx = schedule_indices(m, n, k)
             worst = max(abs(trace.residuals[k + 1][i]) for i in idx)
             assert worst <= 1e-8, f"stage {k + 1} residual {worst:.2e}"
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (6, 2)])
+    def test_residual_recording_is_only_a_record(self, m, n):
+        rng = np.random.default_rng(13 * m + n)
+        xs = bounded_grid(rng, m * (n + 1) + 1)
+        plan = Lemma2Plan(m, n, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), m, n))
+        net, trace = lemma2_interpolant(plan)
+        net_r, trace_r = lemma2_interpolant(plan, residuals=True)
+        assert trace.residuals == []
+        assert len(trace_r.residuals) == n + 2
+        for (w, b), (w_r, b_r) in zip(net.layers, net_r.layers, strict=True):
+            assert np.array_equal(w, w_r) and np.array_equal(b, b_r)
+        assert np.array_equal(trace.break_indices, trace_r.break_indices)
+        for got, want in ((trace.lambda_plus, trace_r.lambda_plus),
+                          (trace.lambda_minus, trace_r.lambda_minus)):
+            assert len(got) == len(want) == n
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 4)])
     def test_sign_classes_partition(self, m, n):

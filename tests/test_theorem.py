@@ -270,9 +270,9 @@ class TestCorollary32:
 
         lemma2 = construct.lemma2_interpolant
 
-        def counting_lemma2(plan):
+        def counting_lemma2(plan, **kwargs):
             fits.append(plan)
-            return lemma2(plan)
+            return lemma2(plan, **kwargs)
 
         monkeypatch.setattr(construct, "ResolutionError", CountingResolutionError)
         monkeypatch.setattr(construct, "lemma2_interpolant", counting_lemma2)
