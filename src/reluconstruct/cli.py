@@ -39,12 +39,7 @@ from .construct import (
 )
 from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
-from .errors import (
-    CertificateError,
-    ConstructionInfeasibleError,
-    RegistryError,
-    ShapeError,
-)
+from .errors import ConstructionInfeasibleError, RegistryError
 from .metrics import GridSpec, default_grid, holder_family, l1_error, linf_error, rate_fit
 from .network import deserialize, evaluate, evaluate_batch, parameter_count, serialize
 
@@ -52,6 +47,12 @@ from .network import deserialize, evaluate, evaluate_batch, parameter_count, ser
 RATE_ERROR_FLOOR = 1e-9
 
 SWEEP_COLUMNS = ["name", "d", "alpha", "nu", "N", "widthvec", "l1", "linf", "bound", "pass"]
+
+# the measured columns of a sweep row whose construction failed
+_FAILED_ROW = {"widthvec": "", "l1": "", "linf": "", "bound": ""}
+
+# --grid-points may ask for at most the largest default grid (256^3 at d = 3)
+GRID_POINT_CAP = 256**3
 
 # the arguments construct and sweep echo into their outputs
 CONFIG_KEYS = ["target", "d", "alpha", "nu", "N", "delta_mode", "delta_floor", "delta_target",
@@ -102,8 +103,7 @@ def _policy_from_args(args) -> DeltaPolicy:
 def _grid_from_args(args) -> GridSpec:
     if args.grid_points is None:
         return default_grid(args.d)
-    cap = max(10**7, args.grid_points**args.d)
-    return GridSpec(args.d, args.grid_points, cap=cap)
+    return GridSpec(args.d, args.grid_points, cap=GRID_POINT_CAP)
 
 
 def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Construction:
@@ -118,12 +118,9 @@ def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Constructio
 
 def cmd_construct(args) -> int:
     config = _config_dict(args, CONFIG_KEYS)
-    try:
-        target = _target_from_args(args)
-    except (RegistryError, CertificateError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+    target = _target_from_args(args)
     policy = _policy_from_args(args)
+    grid = _grid_from_args(args)
     try:
         c = _build(target, args.N, policy)
     except ConstructionInfeasibleError as e:
@@ -139,7 +136,6 @@ def cmd_construct(args) -> int:
             _write_json(args.meta, record)
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 3
-    grid = _grid_from_args(args)
     measured = l1_error(target, c.net, grid)
     with open(args.out, "wb") as fh:
         fh.write(serialize(c.net))
@@ -165,14 +161,15 @@ def cmd_construct(args) -> int:
 # sweep
 
 
-def _sweep_one(target: HolderTarget, big_n: int, policy: DeltaPolicy, grid: GridSpec):
+def _sweep_one(target: HolderTarget, big_n: int, policy: DeltaPolicy, grid: GridSpec) -> dict:
     c = _build(target, big_n, policy)
+    l1 = l1_error(target, c.net, grid)
     return {
-        "N": big_n,
         "widthvec": _widthvec_str(c.net.hidden_widths),
-        "l1": l1_error(target, c.net, grid),
+        "l1": l1,
         "linf": linf_error(target, c.net, grid),
         "bound": c.bound,
+        "pass": str(bool(l1 <= c.bound)),
     }
 
 
@@ -181,58 +178,34 @@ def cmd_sweep(args) -> int:
     # across worker counts, so it stays out of the echoed config
     config = _config_dict(args, CONFIG_KEYS)
     if len(set(args.N)) < 3:
-        print("usage error: sweep needs at least three distinct N values", file=sys.stderr)
-        return 2
-    try:
-        target = _target_from_args(args)
-    except (RegistryError, CertificateError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("sweep needs at least three distinct N values")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    target = _target_from_args(args)
     policy = _policy_from_args(args)
     grid = _grid_from_args(args)
 
-    results: dict[int, dict] = {}
-    failures: dict[int, str] = {}
-
-    def run(big_n: int):
+    def run(big_n: int) -> dict | str:
         try:
-            results[big_n] = _sweep_one(target, big_n, policy, grid)
+            return _sweep_one(target, big_n, policy, grid)
         except Exception as e:  # recorded per-row, sweep continues
-            failures[big_n] = f"{type(e).__name__}: {e}"
+            return f"{type(e).__name__}: {e}"
 
     ns = sorted(set(args.N))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(run, ns))
-    else:
-        for big_n in ns:
-            run(big_n)
-
-    rows = []
-    for big_n in ns:
-        if big_n in results:
-            r = results[big_n]
-            rows.append(
-                {
-                    "name": args.target, "d": args.d, "alpha": args.alpha, "nu": args.nu,
-                    "N": big_n, "widthvec": r["widthvec"], "l1": r["l1"], "linf": r["linf"],
-                    "bound": r["bound"], "pass": str(bool(r["l1"] <= r["bound"])),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "name": args.target, "d": args.d, "alpha": args.alpha, "nu": args.nu,
-                    "N": big_n, "widthvec": "", "l1": "", "linf": "",
-                    "bound": "", "pass": "error: " + failures[big_n],
-                }
-            )
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        outcomes = dict(zip(ns, pool.map(run, ns)))
+    failures = {n: r for n, r in outcomes.items() if isinstance(r, str)}
+    rows = [
+        {"name": args.target, "d": args.d, "alpha": args.alpha, "nu": args.nu, "N": big_n,
+         **(r if isinstance(r, dict) else {**_FAILED_ROW, "pass": "error: " + r})}
+        for big_n, r in outcomes.items()
+    ]
     _write_csv(args.out, SWEEP_COLUMNS, rows, config)
 
     fit_pairs = [
-        (big_n, results[big_n]["l1"])
-        for big_n in ns
-        if big_n in results and results[big_n]["l1"] > RATE_ERROR_FLOOR
+        (big_n, r["l1"])
+        for big_n, r in outcomes.items()
+        if isinstance(r, dict) and r["l1"] > RATE_ERROR_FLOOR
     ]
     summary = {
         "config": config,
@@ -250,8 +223,7 @@ def cmd_sweep(args) -> int:
     if args.summary:
         _write_json(args.summary, summary)
     print(json.dumps({k: summary[k] for k in ("slope", "rate_defined", "partial")}))
-    all_pass = all(r["pass"] == "True" for r in rows if r["widthvec"])
-    return 0 if (all_pass and not failures) else 1
+    return 0 if all(r["pass"] == "True" for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +373,7 @@ def cmd_check(args) -> int:
     names = args.suite or sorted(_SUITES)
     for name in names:
         if name not in _SUITES:
-            print(f"usage error: unknown suite {name!r} (have {sorted(_SUITES)})", file=sys.stderr)
-            return 2
+            raise RegistryError(f"unknown suite {name!r} (have {sorted(_SUITES)})")
     root = ET.Element("testsuites")
     any_failed = False
     for name in names:
@@ -436,13 +407,7 @@ def cmd_eval(args) -> int:
         line = line.strip()
         if not line:
             continue
-        try:
-            x = [float(tok) for tok in line.split()]
-            y = evaluate(net, x)
-        except (ValueError, ShapeError) as e:
-            print(f"usage error: {e}", file=sys.stderr)
-            return 2
-        print(format(y, ".17g"))
+        print(format(evaluate(net, [float(tok) for tok in line.split()]), ".17g"))
     return 0
 
 
@@ -452,7 +417,8 @@ def cmd_eval(args) -> int:
 
 def _add_common(sub, with_target=True):
     sub.add_argument("--seed", type=int, default=0, help="seed echoed into outputs")
-    sub.add_argument("--config", default=None, help="JSON document of defaults; flags override")
+    sub.add_argument("--config", default=None,
+                     help="JSON object of long-flag names and values; flags on the line override")
     if with_target:
         sub.add_argument("--target", default="cone", help="target family (cone, linear, zero)")
         sub.add_argument("--d", type=int, default=1)
@@ -513,18 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Config-file values fill in anything not given explicitly on the line."""
-    if getattr(args, "config", None) is None:
-        return args
-    with open(args.config) as fh:
+def _config_tokens(path: str) -> list[str]:
+    """A config document as ``--key value`` tokens, so argparse types and checks it."""
+    with open(path) as fh:
         doc = json.load(fh)
-    given = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    tokens = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, value)
-    return args
+        if value is not None:
+            tokens.append("--" + key.replace("_", "-"))
+            tokens.extend(map(str, value if isinstance(value, list) else [value]))
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -532,9 +498,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        args = _apply_config(args, argv)
+        if getattr(args, "config", None) is not None:
+            # config flags go before the user's own, so the user's win
+            at = argv.index(args.command) + 1
+            args = ap.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
         return args.func(args)
-    except (ShapeError, CertificateError, RegistryError, ValueError) as e:
+    except (ValueError, RegistryError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except ConstructionInfeasibleError as e:

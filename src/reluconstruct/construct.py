@@ -70,6 +70,9 @@ EMPIRICAL_SHRINK = "empirical-shrink"
 # a factor ~(1 + block/gap) per stage, which compounds factorially.
 RESIDUAL_SNAP = 1e-12
 
+# Factor between successive empirical-shrink delta candidates.
+DELTA_SHRINK = 0.5
+
 # Cap on empirical-shrink candidates.  Halving from below half a unit gap
 # reaches the default floor of 1e-12 in under 40 steps.
 MAX_DELTA_ITERATIONS = 80
@@ -231,21 +234,18 @@ class DeltaPolicy:
     ``paper-sufficient`` evaluates the closed-form sufficient condition in
     log space (its factorial makes the exact value underflow f64 for N of a
     dozen or more; the result is then clamped at ``floor`` and flagged).
-    ``empirical-shrink`` starts at ``shrink * (half the minimum grid gap)``
-    and keeps multiplying by ``shrink`` until the measured don't-care
-    contribution fits the budget.
+    ``empirical-shrink`` starts at ``DELTA_SHRINK * (half the minimum grid
+    gap)`` and keeps multiplying by ``DELTA_SHRINK`` until the measured
+    don't-care contribution fits the budget.
     """
 
     mode: str = EMPIRICAL_SHRINK
     target: float | None = None
     floor: float = 1e-12
-    shrink: float = 0.5
 
     def __post_init__(self):
         if self.mode not in (PAPER_SUFFICIENT, EMPIRICAL_SHRINK):
             raise ValueError(f"unknown delta mode: {self.mode!r}")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink factor must lie in (0, 1)")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
 
@@ -256,12 +256,8 @@ class DeltaChoice:
 
     delta: float
     clamped: bool = False
-    met_budget: bool = True
     iterations: int = 0
     h_error: float | None = None
-
-    def __float__(self):
-        return self.delta
 
 
 @dataclass
@@ -303,13 +299,13 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return DeltaChoice(delta=min(policy.floor, cap), clamped=True, met_budget=False)
+            return DeltaChoice(delta=min(policy.floor, cap), clamped=True)
         return DeltaChoice(delta=min(math.exp(log_delta), cap), clamped=False)
 
     if context.h_error is None:
         raise ValueError("empirical-shrink mode needs an h_error measurement")
     budget = context.budget if policy.target is None else policy.target
-    delta = policy.shrink * half_gap
+    delta = DELTA_SHRINK * half_gap
     err = None
     for it in range(MAX_DELTA_ITERATIONS):
         err = context.h_error(delta)
@@ -317,7 +313,7 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
             return DeltaChoice(delta=delta, iterations=it + 1, h_error=err)
         if delta <= policy.floor:
             break
-        delta = max(delta * policy.shrink, policy.floor)
+        delta = max(delta * DELTA_SHRINK, policy.floor)
     raise ConstructionInfeasibleError(
         f"measured error {err:.3e} still exceeds budget {budget:.3e} "
         f"at the floor width {delta:.3e}",
@@ -693,7 +689,7 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     gaps = np.diff(np.concatenate(([0.0], interior, [1.0])))
     delta_cap = float(np.min(gaps)) / max(4, n + 2)
 
-    policy = DeltaPolicy(floor=1e-12)
+    policy = DeltaPolicy()
 
     @functools.lru_cache(maxsize=1)
     def build(delta: float):

@@ -12,6 +12,14 @@ def run(argv, capsys=None):
     return main([str(a) for a in argv])
 
 
+def exit_code(argv):
+    """The status the process would exit with, also when argparse exits."""
+    try:
+        return run(argv)
+    except SystemExit as e:
+        return e.code
+
+
 class TestConstruct:
     def test_writes_network_and_sidecar(self, tmp_path):
         out = tmp_path / "net.json"
@@ -65,6 +73,19 @@ class TestConstruct:
         assert code == 0
         meta = json.loads((tmp_path / "net.json.meta.json").read_text())
         assert meta["config"]["alpha"] == 1.0  # flag wins over config file
+
+    def test_sidecar_config_reproduces_network(self, tmp_path):
+        first = tmp_path / "first.json"
+        assert run(["construct", "--target", "cone", "--d", "1", "--alpha", "0.6",
+                    "--nu", "2", "--N", "4", "--delta-floor", "1e-10",
+                    "--grid-points", "2000", "--out", first]) == 0
+        config = json.loads((tmp_path / "first.json.meta.json").read_text())["config"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        second = tmp_path / "second.json"
+        assert run(["construct", "--config", cfg, "--N", "4", "--out", second]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        assert json.loads((tmp_path / "second.json.meta.json").read_text())["config"] == config
 
 
 class TestEval:
@@ -151,6 +172,19 @@ class TestSweep:
         assert run(args + ["--threads", "2", "--out", two]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_failed_rows_independent_of_threads(self, tmp_path):
+        args = ["sweep", "--target", "cone", "--d", "2", "--alpha", "0.5",
+                "--N", "1", "4", "9", "300", "--grid-points", "128"]
+        one, two = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        assert run(args + ["--threads", "1", "--out", one]) == 1
+        assert run(args + ["--threads", "2", "--out", two]) == 1
+        assert one.read_bytes() == two.read_bytes()
+        rows = one.read_text().splitlines()[2:]
+        assert rows[0].endswith(",,,,,error: DegenerateGridError: N=1 yields a single cell "
+                                "per axis in d=2")
+        assert rows[1].endswith(",True") and rows[2].endswith(",True")
+        assert "error: ResolutionError" in rows[3]
+
 
 class TestCost:
     def test_cost_csv(self, tmp_path):
@@ -175,3 +209,46 @@ class TestCheck:
         text = report.read_text()
         assert "<testsuite" in text and 'name="lemma2"' in text
         assert 'failures="0"' in text
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with a message on stderr, never with a traceback."""
+
+    def test_missing_net_file(self, tmp_path, capsys):
+        assert exit_code(["eval", "--net", tmp_path / "missing.json"]) == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = exit_code(["construct", "--config", tmp_path / "missing.json", "--N", "2",
+                          "--out", tmp_path / "net.json"])
+        assert code == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"bogus": 1}, {"func": 1}, {"alpha": "0.5x"}],
+        ids=["json-list", "unknown-key", "internal-name", "wrong-type"],
+    )
+    def test_bad_config_document(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "net.json"
+        assert exit_code(["construct", "--config", cfg, "--N", "2", "--out", out]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_below_one(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = exit_code(["sweep", "--d", "1", "--N", "2", "4", "8", "--threads", "0",
+                          "--out", out])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_points_over_cap(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        code = exit_code(["construct", "--d", "2", "--N", "4", "--grid-points", "4097",
+                          "--out", out])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -210,7 +210,7 @@ class TestChooseDelta:
         pol = DeltaPolicy()
         ctx = DeltaContext(min_gap=0.1, budget=1.0, h_error=lambda d: 0.0)
         choice = choose_delta(pol, ctx)
-        assert choice.delta == pol.shrink * 0.05
+        assert choice.delta == construct.DELTA_SHRINK * 0.05
         assert choice.iterations == 1
 
     def test_empirical_never_at_or_above_half_gap(self):
