@@ -65,6 +65,7 @@ from .metrics import (
     GridSpec,
     RateFit,
     default_grid,
+    grid_errors,
     holder_family,
     l1_error,
     linf_error,

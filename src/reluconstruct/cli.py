@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,10 @@ from .construct import (
 from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
 from .errors import ConstructionInfeasibleError, RegistryError
-from .metrics import GridSpec, default_grid, holder_family, l1_error, linf_error, rate_fit
+# linf_error is unused here but stays importable: the benchmark's tracer patches
+# cli.l1_error and cli.linf_error by name
+from .metrics import (GridSpec, default_grid, grid_errors, holder_family, l1_error, linf_error,
+                      rate_fit)
 from .network import deserialize, evaluate, evaluate_batch, parameter_count, serialize
 
 # errors at or below this are treated as exact in rate summaries
@@ -116,11 +120,23 @@ def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Constructio
 # construct
 
 
+def _check_writable(path: str):
+    """Raise OSError unless a file can be written at ``path``, writing nothing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"no directory {folder!r} for {path!r}")
+    if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise PermissionError(f"cannot write {path!r}")
+
+
 def cmd_construct(args) -> int:
     config = _config_dict(args, CONFIG_KEYS)
     target = _target_from_args(args)
     policy = _policy_from_args(args)
     grid = _grid_from_args(args)
+    meta_path = args.meta or (args.out + ".meta.json")
+    for path in (args.out, meta_path):
+        _check_writable(path)
     try:
         c = _build(target, args.N, policy)
     except ConstructionInfeasibleError as e:
@@ -150,7 +166,6 @@ def cmd_construct(args) -> int:
         "measured_l1": measured,
         "grid": {"rule": grid.rule, "points_per_axis": grid.points_per_axis},
     }
-    meta_path = args.meta or (args.out + ".meta.json")
     _write_json(meta_path, sidecar)
     print(f"wrote {args.out} (widthvec {_widthvec_str(c.net.hidden_widths)}, "
           f"l1 {measured:.6g} <= bound {c.bound:.6g}: {measured <= c.bound})")
@@ -163,11 +178,11 @@ def cmd_construct(args) -> int:
 
 def _sweep_one(target: HolderTarget, big_n: int, policy: DeltaPolicy, grid: GridSpec) -> dict:
     c = _build(target, big_n, policy)
-    l1 = l1_error(target, c.net, grid)
+    l1, linf = grid_errors(target, c.net, grid)
     return {
         "widthvec": _widthvec_str(c.net.hidden_widths),
         "l1": l1,
-        "linf": linf_error(target, c.net, grid),
+        "linf": linf,
         "bound": c.bound,
         "pass": str(bool(l1 <= c.bound)),
     }
@@ -479,16 +494,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_tokens(path: str) -> list[str]:
-    """A config document as ``--key value`` tokens, so argparse types and checks it."""
+def _config_tokens(ap: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """A config document as ``--key value`` tokens, so argparse types and checks it.
+
+    Every key must name a long flag of ``command`` exactly: argparse would
+    take a misspelt key that prefixes a flag as that flag.
+    """
+    # argparse keeps a subcommand's flags only in private attributes
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = sub.choices[command]._option_string_actions
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must be a JSON object")
     tokens = []
     for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ValueError(f"config key {key!r} is not a flag of {command}")
         if value is not None:
-            tokens.append("--" + key.replace("_", "-"))
+            tokens.append(flag)
             tokens.extend(map(str, value if isinstance(value, list) else [value]))
     return tokens
 
@@ -501,7 +526,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None) is not None:
             # config flags go before the user's own, so the user's win
             at = argv.index(args.command) + 1
-            args = ap.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+            tokens = _config_tokens(ap, args.command, args.config)
+            args = ap.parse_args(argv[:at] + tokens + argv[at:])
         return args.func(args)
     except (ValueError, RegistryError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ __all__ = [
     "GridSpec",
     "RateFit",
     "default_grid",
+    "grid_errors",
     "l1_error",
     "linf_error",
     "holder_family",
@@ -82,9 +83,11 @@ def _axis_points(grid: GridSpec):
     return pts, wts
 
 
-def _chunks(grid: GridSpec):
-    """Yield (points (k, d), weights (k,), axis indices (k, d)) in a fixed order."""
-    pts, wts = _axis_points(grid)
+def _chunks(grid: GridSpec, pts: np.ndarray, wts: np.ndarray):
+    """Yield (points (k, d), weights (k,), axis indices (k, d)) in a fixed order.
+
+    ``pts, wts`` are the grid's ``_axis_points``.
+    """
     p, d = grid.points_per_axis, grid.d
     total = grid.total_points
     for start in range(0, total, _CHUNK):
@@ -143,8 +146,9 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    compiled = _compile(net, _axis_points(grid)[0])
-    for coords, weights, axes in _chunks(grid):
+    pts, wts = _axis_points(grid)
+    compiled = _compile(net, pts)
+    for coords, weights, axes in _chunks(grid, pts, wts):
         fv = np.asarray(f(coords), dtype=float)
         if fv.shape != (coords.shape[0],):
             raise ShapeError("target must map (k, d) points to (k,) values")
@@ -157,20 +161,27 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
         yield np.abs(fv - nv), weights
 
 
-def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:
-    """Composite quadrature estimate of ``integral |f - net|`` over the cube."""
-    total = 0.0
+def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
+    """``(L1, Linf)`` of ``f - net`` on the grid from one pass over its points.
+
+    L1 is the composite quadrature estimate of ``integral |f - net|`` over the
+    cube; Linf is the max over the grid points, a lower bound on the true sup.
+    """
+    total, worst = 0.0, 0.0
     for err, weights in _abs_errors(f, net, grid):
         total += float(np.sum(err * weights))
-    return total
+        worst = max(worst, float(np.max(err)))
+    return total, worst
+
+
+def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:
+    """Composite quadrature estimate of ``integral |f - net|`` over the cube."""
+    return grid_errors(f, net, grid)[0]
 
 
 def linf_error(f, net: ReluNetwork, grid: GridSpec) -> float:
     """Max ``|f - net|`` over the grid points: a lower bound on the true sup."""
-    worst = 0.0
-    for err, _ in _abs_errors(f, net, grid):
-        worst = max(worst, float(np.max(err)))
-    return worst
+    return grid_errors(f, net, grid)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line interface: file outputs, exit codes, determinism."""
 
+import csv
 import json
 
 import pytest
 
-from reluconstruct import deserialize, evaluate
+from reluconstruct import (DeltaPolicy, GridSpec, build_1d, cli, deserialize, evaluate,
+                           holder_family, l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
 
@@ -164,6 +166,31 @@ class TestSweep:
         assert header["config"]["delta_target"] == 0.001
         assert json.loads(summary.read_text())["config"]["delta_target"] == 0.001
 
+    def test_one_grid_pass_per_n(self, tmp_path, monkeypatch):
+        passes = []
+        abs_errors = metrics._abs_errors
+
+        def counted(f, net, grid):
+            passes.append(grid.total_points)
+            return abs_errors(f, net, grid)
+
+        monkeypatch.setattr(metrics, "_abs_errors", counted)
+        assert run(["sweep", "--d", "1", "--N", "4", "8", "16", "--grid-points", "5000",
+                    "--out", tmp_path / "s.csv"]) == 0
+        assert passes == [5000] * 3
+
+    def test_cells_equal_single_metrics(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--d", "1", "--alpha", "0.6", "--N", "4", "8", "16",
+                    "--grid-points", "20000", "--out", out]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        target, grid = holder_family("cone", 1, 0.6, 1.0), GridSpec(1, 20000)
+        assert [int(r["N"]) for r in rows] == [4, 8, 16]
+        for row in rows:
+            net = build_1d(target, int(row["N"]), DeltaPolicy()).net
+            assert row["l1"] == format(l1_error(target, net, grid), ".17g")
+            assert row["linf"] == format(linf_error(target, net, grid), ".17g")
+
     def test_d2_csv_independent_of_threads(self, tmp_path):
         args = ["sweep", "--target", "cone", "--d", "2", "--alpha", "0.5",
                 "--N", "4", "9", "16", "--grid-points", "256"]
@@ -251,4 +278,37 @@ class TestUsageErrors:
                           "--out", out])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_misspelt_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alph": 0.5, "grid_points": 100}))
+        out = tmp_path / "net.json"
+        assert exit_code(["construct", "--config", cfg, "--N", "2", "--out", out]) == 2
+        assert "'alph'" in capsys.readouterr().err
+        assert not out.exists()
+        # an abbreviated flag on the command line is still argparse's to expand
+        assert run(["construct", "--alph", "0.5", "--N", "2", "--grid-points", "2000",
+                    "--out", out]) == 0
+        meta = json.loads((tmp_path / "net.json.meta.json").read_text())
+        assert meta["config"]["alpha"] == 0.5
+
+    @pytest.mark.parametrize("flag", ["--out", "--meta"])
+    def test_output_directory_checked_before_building(self, tmp_path, capsys, monkeypatch,
+                                                      flag):
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        paths = {"--out": tmp_path / "net.json", "--meta": tmp_path / "net.meta.json"}
+        paths[flag] = tmp_path / "missing-dir" / "x.json"
+        argv = ["construct", "--N", "2"] + [t for kv in paths.items() for t in kv]
+        assert exit_code(argv) == 2
+        assert "missing-dir" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infeasible_writes_no_network(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = exit_code(["construct", "--alpha", "0.5", "--N", "2", "--out", out,
+                          "--delta-target", "1e-300", "--delta-floor", "1e-8"])
+        assert code == 3
         assert list(tmp_path.iterdir()) == []

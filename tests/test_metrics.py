@@ -17,6 +17,7 @@ from reluconstruct import (
     build_dd,
     default_grid,
     exact_l1_cpl,
+    grid_errors,
     holder_family,
     l1_error,
     lemma1_interpolant,
@@ -127,7 +128,7 @@ RULES = ("midpoint", "trapezoid")
 def dense_reference(f, net, grid):
     """(L1, Linf) from plain ``evaluate_batch`` over the same chunks."""
     total, worst = 0.0, 0.0
-    for coords, weights, _ in metrics._chunks(grid):
+    for coords, weights, _ in metrics._chunks(grid, *metrics._axis_points(grid)):
         err = np.abs(f(coords) - evaluate_batch(net, coords))
         total += float(np.sum(err * weights))
         worst = max(worst, float(np.max(err)))
@@ -237,6 +238,44 @@ class TestCompiledQuadrature:
         calls = count_dense_calls(monkeypatch)
         assert_agrees(tilted(2), net, GridSpec(2, 128))
         assert len(calls) > 0
+
+
+def two_pass_reference(f, net, grid):
+    """(L1, Linf) from one ``_abs_errors`` pass each, the same reductions."""
+    total = 0.0
+    for err, weights in metrics._abs_errors(f, net, grid):
+        total += float(np.sum(err * weights))
+    worst = 0.0
+    for err, _ in metrics._abs_errors(f, net, grid):
+        worst = max(worst, float(np.max(err)))
+    return total, worst
+
+
+class TestGridErrors:
+    """One pass gives both errors, equal to two passes to the last bit."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("case", ["1d-compiled", "dd-compiled", "dense"])
+    def test_equals_two_passes(self, case, rule, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        if case == "1d-compiled":
+            net, grid = build_1d(cone(1), 16).net, GridSpec(1, 100001, rule)
+        elif case == "dd-compiled":
+            net, grid = build_dd(cone(2), 9).net, GridSpec(2, 256, rule)
+        else:
+            net, grid = random_net(np.random.default_rng(7), 2, 2), GridSpec(2, 128, rule)
+        f = tilted(grid.d)
+        both = grid_errors(f, net, grid)
+        assert both == two_pass_reference(f, net, grid)
+        assert both == (l1_error(f, net, grid), linf_error(f, net, grid))
+        assert (len(calls) > 0) == (case == "dense")
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_several_chunks(self, rule):
+        grid = GridSpec(1, 3 * 2**18 + 7, rule)
+        assert sum(1 for _ in metrics._chunks(grid, *metrics._axis_points(grid))) == 4
+        f, net = tilted(1), build_1d(cone(1), 8).net
+        assert grid_errors(f, net, grid) == two_pass_reference(f, net, grid)
 
 
 class TestHolderFamily:
