@@ -43,6 +43,11 @@ class GridSpec:
     cap: int = 10**7
 
     def __post_init__(self):
+        for name in ("d", "points_per_axis"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 1:
             raise ShapeError("d must be a positive integer")
         if self.points_per_axis < 2:
@@ -83,22 +88,44 @@ def _axis_points(grid: GridSpec):
     return pts, wts
 
 
-def _chunks(grid: GridSpec, pts: np.ndarray, wts: np.ndarray):
-    """Yield (points (k, d), weights (k,), axis indices (k, d)) in a fixed order.
+def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarray:
+    """``v[(q // stride) % len(v)]`` for ``q = start, ..., stop - 1``.
 
-    ``pts, wts`` are the grid's ``_axis_points``.
+    The entries ``v[first % p], ..., v[last % p]`` are one slice of ``v``,
+    tiled when it wraps, and each is repeated ``stride`` times: no index is
+    computed per point.  With ``stride`` 1 the result may be a view of ``v``.
+    """
+    p = len(v)
+    first, last = start // stride, (stop - 1) // stride
+    head, n = first % p, last - first + 1
+    reps = -(-(head + n) // p)
+    run = (np.tile(v, reps) if reps > 1 else v)[head:head + n]
+    skip = start - first * stride
+    return (np.repeat(run, stride) if stride > 1 else run)[skip:skip + stop - start]
+
+
+def _chunks(grid: GridSpec, pts: np.ndarray, wts: np.ndarray, tables=()):
+    """Yield (points (k, d), weights (k,), table sum (k,) or None) in C order.
+
+    ``pts, wts`` are the grid's ``_axis_points`` and ``tables`` holds one
+    length-p array per axis.  Axis ``a`` of flat position ``q`` is
+    ``(q // p**(d-1-a)) % p``, so each per-axis array is laid out with
+    ``_repeat_axis``.  Weights multiply from the last axis down and tables
+    add from the first axis up.
     """
     p, d = grid.points_per_axis, grid.d
-    total = grid.total_points
-    for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total))
-        axes = np.empty((rest.size, d), dtype=np.intp)
-        weights = np.ones(rest.size)
-        for axis in range(d - 1, -1, -1):
-            axes[:, axis] = rest % p
-            weights *= wts[axes[:, axis]]
-            rest //= p
-        yield pts[axes], weights, axes
+    strides = [p ** (d - 1 - a) for a in range(d)]
+    for start in range(0, grid.total_points, _CHUNK):
+        stop = min(start + _CHUNK, grid.total_points)
+
+        def lay(v, a):
+            return _repeat_axis(v, strides[a], start, stop)
+
+        weights = lay(wts, d - 1)
+        for axis in range(d - 2, -1, -1):
+            weights = weights * lay(wts, axis)
+        z = sum(lay(t, a) for a, t in enumerate(tables)) if tables else None
+        yield np.stack([lay(pts, a) for a in range(d)], axis=1), weights, z
 
 
 def _compile(net: ReluNetwork, pts: np.ndarray):
@@ -147,17 +174,13 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
     pts, wts = _axis_points(grid)
-    compiled = _compile(net, pts)
-    for coords, weights, axes in _chunks(grid, pts, wts):
+    tables, outer = _compile(net, pts) or ((), None)
+    for coords, weights, z in _chunks(grid, pts, wts, tables):
         fv = np.asarray(f(coords), dtype=float)
         if fv.shape != (coords.shape[0],):
             raise ShapeError("target must map (k, d) points to (k,) values")
-        if compiled is None:
-            nv = evaluate_batch(net, coords)
-        else:
-            tables, outer = compiled
-            z = sum(t[j] for t, j in zip(tables, axes.T))
-            nv = np.interp(z, outer.breaks, outer.values)
+        nv = (evaluate_batch(net, coords) if outer is None
+              else np.interp(z, outer.breaks, outer.values))
         yield np.abs(fv - nv), weights
 
 
@@ -189,10 +212,16 @@ def linf_error(f, net: ReluNetwork, grid: GridSpec) -> float:
 
 
 def _cone(d: int, alpha: float, nu: float):
-    center = np.full(d, 0.5)
-
     def f(points: np.ndarray) -> np.ndarray:
-        return nu * np.linalg.norm(points - center, axis=1) ** alpha
+        if points.ndim != 2 or points.shape[1] != d:
+            raise ShapeError(f"the d = {d} cone takes (k, {d}) points")
+        # np.linalg.norm(points - 0.5, axis=1) bit for bit: the squares are
+        # added column by column in add.reduce's order, with no strided reduction
+        sq = 0.0
+        for a in range(d):
+            c = points[:, a] - 0.5
+            sq = sq + c * c
+        return nu * np.sqrt(sq) ** alpha
 
     return f
 
@@ -247,12 +276,12 @@ class RateFit:
 
 
 def rate_fit(pairs) -> RateFit:
-    """Fit the empirical rate exponent; errors must be strictly positive."""
+    """Fit the empirical rate exponent; errors must be finite and strictly positive."""
     pairs = tuple((int(n), float(e)) for n, e in pairs)
     if len(pairs) < 2:
         raise ShapeError("rate fitting needs at least two (N, error) pairs")
-    if any(e <= 0 for _, e in pairs):
-        raise ValueError("rate fitting needs strictly positive errors")
+    if not all(np.isfinite(e) and e > 0 for _, e in pairs):
+        raise ValueError("rate fitting needs finite, strictly positive errors")
     if any(n < 1 for n, _ in pairs):
         raise ValueError("rate fitting needs positive N")
     x = np.log([n for n, _ in pairs])

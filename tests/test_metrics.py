@@ -50,6 +50,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1, 100, rule="simpson")
 
+    @pytest.mark.parametrize("d,p", [(1, 1000.0), (1.0, 100), (True, 100), (2, True),
+                                     (1, np.float64(100)), (1, "100")])
+    def test_non_integral_sizes_rejected(self, d, p):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            GridSpec(d, p)
+
+    def test_numpy_integers_accepted(self):
+        grid = GridSpec(np.int32(2), np.int64(100))
+        assert grid == GridSpec(2, 100)
+        assert type(grid.d) is int and type(grid.points_per_axis) is int
+
 
 class TestL1Error:
     def test_self_difference_is_zero(self):
@@ -278,6 +289,116 @@ class TestGridErrors:
         assert grid_errors(f, net, grid) == two_pass_reference(f, net, grid)
 
 
+def reference_chunks(grid):
+    """The per-point layout: each flat index split into axis indices by
+    ``%`` and ``//``, then gathered."""
+    pts, wts = metrics._axis_points(grid)
+    p, d = grid.points_per_axis, grid.d
+    total = grid.total_points
+    for start in range(0, total, metrics._CHUNK):
+        rest = np.arange(start, min(start + metrics._CHUNK, total))
+        axes = np.empty((rest.size, d), dtype=np.intp)
+        weights = np.ones(rest.size)
+        for axis in range(d - 1, -1, -1):
+            axes[:, axis] = rest % p
+            weights *= wts[axes[:, axis]]
+            rest //= p
+        yield pts[axes], weights, axes
+
+
+def reference_errors(f, net, grid):
+    """(L1, Linf) over ``reference_chunks``, compiled or dense as in ``_abs_errors``."""
+    compiled = metrics._compile(net, metrics._axis_points(grid)[0])
+    total, worst = 0.0, 0.0
+    for coords, weights, axes in reference_chunks(grid):
+        if compiled is None:
+            nv = evaluate_batch(net, coords)
+        else:
+            tables, outer = compiled
+            z = sum(t[j] for t, j in zip(tables, axes.T))
+            nv = np.interp(z, outer.breaks, outer.values)
+        err = np.abs(f(coords) - nv)
+        total += float(np.sum(err * weights))
+        worst = max(worst, float(np.max(err)))
+    return total, worst
+
+
+# several chunks each, with the chunk boundary inside a row (and, for d = 3,
+# inside a plane); the d = 4 grid wraps its last axis thousands of times
+LAYOUT_GRIDS = [(2, 600), (3, 70), (4, 25), (1, 2**18 + 5)]
+
+
+class TestChunkLayout:
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("d,p", LAYOUT_GRIDS)
+    def test_matches_per_point_reference(self, d, p, rule):
+        grid = GridSpec(d, p, rule)
+        assert metrics._CHUNK % p != 0
+        rng = np.random.default_rng(p)
+        tables = [rng.normal(size=p) for _ in range(d)]
+        pts, wts = metrics._axis_points(grid)
+        got = list(metrics._chunks(grid, pts, wts, tables))
+        want = list(reference_chunks(grid))
+        assert len(got) == len(want) >= 2
+        for (coords, weights, z), (ref_coords, ref_weights, axes) in zip(got, want):
+            assert np.array_equal(coords, ref_coords)
+            assert np.array_equal(weights, ref_weights)
+            assert np.array_equal(z, sum(t[j] for t, j in zip(tables, axes.T)))
+        assert all(z is None for _, _, z in metrics._chunks(grid, pts, wts))
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("case", ["compiled", "dense"])
+    @pytest.mark.parametrize("d,p", LAYOUT_GRIDS[:2])
+    def test_errors_match_per_point_reference(self, d, p, case, rule, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        if case == "compiled":
+            net = build_dd(cone(d), 9 if d == 2 else 8).net
+        else:
+            net = random_net(np.random.default_rng(d), d, 2)
+        grid, f = GridSpec(d, p, rule), tilted(d)
+        assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
+        assert (len(calls) > 0) == (case == "dense")
+
+
+class TestConeTarget:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_norm(self, d):
+        rng = np.random.default_rng(d)
+        grid_points = [c for rule in RULES
+                       for c, _, _ in reference_chunks(GridSpec(d, {1: 999, 2: 61, 3: 17}[d], rule))]
+        for alpha, nu in ((0.3, 1.0), (0.5, 2.5), (1.0, 0.7)):
+            t = holder_family("cone", d, alpha, nu)
+            for points in (rng.random((5000, d)), *grid_points, np.full((1, d), 0.5)):
+                want = nu * np.linalg.norm(points - np.full(d, 0.5), axis=1) ** alpha
+                assert np.array_equal(t(points), want)
+        assert t(np.full((1, d), 0.5))[0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3), (4,)])
+    def test_wrong_dimension_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            cone(2)(np.full(shape, 0.25))
+
+    @pytest.mark.parametrize("d,p", [(1, 2**18 + 5), (2, 600), (3, 70)])
+    def test_target_sees_each_grid_point_once_in_chunk_order(self, d, p):
+        seen = []
+
+        def recording(points):
+            seen.append(points)
+            return cone(d)(points)
+
+        grid = GridSpec(d, p, "trapezoid")
+        grid_errors(recording, build_dd(cone(d), 4).net if d > 1 else zero_net(), grid)
+        for points in seen:
+            assert points.dtype == np.float64 and points.flags.c_contiguous
+            assert points.ndim == 2 and points.shape[1] == d
+        sizes = [len(points) for points in seen]
+        assert sizes[:-1] == [metrics._CHUNK] * (len(seen) - 1)
+        assert 0 < sizes[-1] <= metrics._CHUNK
+        axis = metrics._axis_points(grid)[0]
+        every = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        assert np.array_equal(np.concatenate(seen), every)
+
+
 class TestHolderFamily:
     def test_cone_values_1d(self):
         t = holder_family("cone", 1, 0.5, 1.0)
@@ -338,6 +459,11 @@ class TestRateFit:
     def test_nonpositive_error_rejected(self):
         with pytest.raises(ValueError):
             rate_fit([(2, 0.1), (4, 0.0)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_error_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            rate_fit([(2, bad), (4, 1e-3), (8, 1e-4)])
 
     def test_too_few_pairs(self):
         with pytest.raises(ShapeError):
