@@ -15,11 +15,11 @@ import numpy as np
 from reluconstruct import (
     GridSpec,
     SampleSet,
+    build_1d,
     holder_family,
     l1_error,
     lemma1_interpolant,
     rate_fit,
-    theorem_d1,
 )
 
 alpha = 0.5
@@ -34,7 +34,7 @@ for big_n in ns:
     nodes = np.arange(big_n + 1) / big_n
     one = lemma1_interpolant(SampleSet(nodes, tgt(nodes[:, None])))
     e1 = l1_error(tgt, one, grid)
-    two = theorem_d1(tgt, big_n)
+    two = build_1d(tgt, big_n).net
     e2 = l1_error(tgt, two, grid)
     shallow.append((big_n, e1))
     deep.append((big_n, e2))
@@ -50,5 +50,5 @@ print(f"  ratio: {fit2.slope / fit1.slope:.2f}x faster decay from one extra comp
 print("\nthe same sweep on the alpha = 1 cone (kinks on the grid) for contrast:")
 exact_tgt = holder_family("cone", 1, 1.0, 1.0)
 for big_n in (2, 8, 32):
-    err = l1_error(exact_tgt, theorem_d1(exact_tgt, big_n), grid)
+    err = l1_error(exact_tgt, build_1d(exact_tgt, big_n).net, grid)
     print(f"  N = {big_n:2d}: measured L1 = {err:.2e}  (noise floor, no rate to fit)")

@@ -26,8 +26,6 @@ from .construct import (
     psi0,
     psi_projection,
     spot_check_holder,
-    theorem_d1,
-    theorem_dd,
 )
 from .cpl import (
     CplFunction,

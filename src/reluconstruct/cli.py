@@ -55,8 +55,6 @@ SWEEP_COLUMNS = ["name", "d", "alpha", "nu", "N", "widthvec", "l1", "linf", "bou
 # the measured columns of a sweep row whose construction failed
 _FAILED_ROW = {"widthvec": "", "l1": "", "linf": "", "bound": ""}
 
-# --grid-points may ask for at most the largest default grid (256^3 at d = 3)
-GRID_POINT_CAP = 256**3
 
 # the arguments construct and sweep echo into their outputs
 CONFIG_KEYS = ["target", "d", "alpha", "nu", "N", "delta_mode", "delta_floor", "delta_target",
@@ -107,7 +105,7 @@ def _policy_from_args(args) -> DeltaPolicy:
 def _grid_from_args(args) -> GridSpec:
     if args.grid_points is None:
         return default_grid(args.d)
-    return GridSpec(args.d, args.grid_points, cap=GRID_POINT_CAP)
+    return GridSpec(args.d, args.grid_points)
 
 
 def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Construction:

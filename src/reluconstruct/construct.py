@@ -51,11 +51,9 @@ __all__ = [
     "lemma2_interpolant",
     "lemma2_sup_bound",
     "choose_delta",
-    "theorem_d1",
     "build_1d",
     "psi0",
     "psi_projection",
-    "theorem_dd",
     "build_dd",
     "corollary32_check",
     "spot_check_holder",
@@ -163,8 +161,6 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     """
     m, n = plan.m, plan.n
     xs, ys = plan.samples.xs, plan.samples.ys
-    if ys.min() < 0:
-        raise ShapeError("all sample values must be nonnegative")
     bidx = plan.break_indices
     bx = xs[bidx]
 
@@ -498,11 +494,6 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     return Construction(final, choice, bound, grid=xs, n=big_n * big_n, n_prime=big_n)
 
 
-def theorem_d1(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> ReluNetwork:
-    """The d=1 approximant network (see :func:`build_1d` for the full record)."""
-    return build_1d(target, big_n, policy).net
-
-
 # ---------------------------------------------------------------------------
 # Theorem constructions, d > 1
 
@@ -517,9 +508,7 @@ def psi0(n: int, delta: float) -> ReluNetwork:
         raise ValueError("n must be a positive integer")
     if not 0 < delta < 0.5 / n:
         raise ValueError("delta must lie in (0, 1/(2n))")
-    steps = np.arange(n + 1) / n
-    ramps = np.arange(1, n + 1) / n - delta
-    xs = np.sort(np.concatenate((steps, ramps)))
+    xs = _grid_1d(n, n, delta)
     # plateau i covers [i/n, (i+1)/n - delta]; the top plateau keeps n-1
     ys = np.empty(2 * n + 1)
     ys[0::2] = np.arange(n + 1)
@@ -644,29 +633,62 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     return Construction(final, choice, bound, grid=xs, n=n, n_prime=n_prime)
 
 
-def theorem_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> ReluNetwork:
-    """The d>1 approximant network (see :func:`build_dd` for the full record)."""
-    return build_dd(target, big_n, policy).net
-
-
 # ---------------------------------------------------------------------------
 # CPL absorption (closure property)
+
+
+def _closure_grid(interior: np.ndarray, m: int, n: int, delta: float) -> np.ndarray:
+    """The ``m(n+1) + 1`` abscissae of the closure fit for the given interior breaks.
+
+    Breaks fill kink slots from left to right: break k sits at grid position
+    ``(k // n)(n+1) + k % n + 1``, and slot ``n - 1`` of each block is the
+    block's trailing width-delta sliver.  A sliver ends at its break, except
+    the last block's, which starts at it: then the network's linear tail
+    carries g's final piece beyond the grid.  The known positions form a
+    prefix; the rest are spread evenly up to ``1 - delta``, and every sliver
+    without a break gets width delta against its right end.
+    """
+    last, q = m * (n + 1), len(interior)
+    k = np.arange(q)
+    pos = k // n * (n + 1) + k % n + 1
+    xs = np.zeros(last + 1)
+    xs[pos] = interior
+    slivers = pos[k % n == n - 1]
+    xs[slivers + 1] = xs[slivers]
+    if q == m * n:
+        xs[last] += delta
+        slivers = slivers[:-1]
+    xs[slivers] -= delta
+    if q < m * n:
+        # the prefix ends at the last break, or one past it when it ends a sliver
+        a = pos[-1] + int(q % n == 0) if q else 0
+        b = last - 1
+        xs[b:] = 1.0 - delta, 1.0
+        xs[a + 1 : b] = xs[a] + (xs[b] - xs[a]) * np.arange(1, b - a) / (b - a)
+        left = (n + 1) * np.arange(q // n, m) + n
+        xs[left] = xs[left + 1] - delta
+    if np.diff(xs).min() <= 0:
+        raise ResolutionError("grid collision while narrowing slivers")
+    return xs
 
 
 def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     """Drive a ``[2m, 2n+1]`` network within ``epsilon`` of a CPL in L1 on [0, 1].
 
-    Shifts g to be nonnegative, lays the interpolation grid so every break
-    of g sits on a kept grid point or inside a width-delta don't-care
-    sliver, fits, un-shifts, and halves delta from ``delta_cap`` down to a
-    floor of 1e-12 until the exact piecewise distance to g is within
-    budget.  Returns ``(network, achieved_error)``.
+    Shifts g to be nonnegative, lays the interpolation grid with
+    :func:`_closure_grid` so every break of g sits on a kept grid point or
+    at one end of a width-delta don't-care sliver, fits, un-shifts, and
+    halves delta from ``delta_cap`` down to a floor of 1e-12 until the
+    distance to g is within budget.  That distance is exact between g and a
+    CPL probed from the network (4001 equispaced points plus 41 per sliver),
+    not between g and the network itself.  Returns ``(network,
+    achieved_error)``.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    interior = [float(x) for x in g.breaks if 0.0 < x < 1.0]
+    interior = g.breaks[(g.breaks > 0.0) & (g.breaks < 1.0)]
     q = len(interior)
     if q > m * n:
         raise ShapeError(
@@ -675,17 +697,6 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
 
     probe_lo = np.concatenate((g.breaks, [0.0, 1.0]))
     shift = max(0.0, -float(np.min(eval_cpl(g, np.clip(probe_lo, 0.0, 1.0)))))
-    # kink slots in left-to-right order: n-1 interior positions per block,
-    # then the block's trailing sliver; breaks fill the earliest slots.
-    # With q == mn the final sliver straddles the last break and the
-    # network's linear tail carries g's final piece beyond the grid.
-    slots = []
-    for j in range(m):
-        slots.extend(("interior", j, p) for p in range(1, n))
-        slots.append(("sliver", j, None))
-    assigned = {s: interior[i] for i, s in enumerate(slots[:q])}
-
-    last = m * (n + 1)
     gaps = np.diff(np.concatenate(([0.0], interior, [1.0])))
     delta_cap = float(np.min(gaps)) / max(4, n + 2)
 
@@ -693,39 +704,7 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
 
     @functools.lru_cache(maxsize=1)
     def build(delta: float):
-        fixed = {0: 0.0}
-        extension = False
-        for (kind, j, p), beta in assigned.items():
-            if kind == "interior":
-                fixed[j * (n + 1) + p] = beta
-            elif j < m - 1:
-                fixed[j * (n + 1) + n] = beta - delta
-                fixed[(j + 1) * (n + 1)] = beta
-            else:
-                # final sliver straddles the last break; the network's tail
-                # continues g's final piece beyond the grid
-                fixed[last - 1] = beta
-                fixed[last] = beta + delta
-                extension = True
-        if not extension:
-            fixed[last - 1] = 1.0 - delta
-            fixed[last] = 1.0
-
-        xs = np.full(last + 1, np.nan)
-        for i, v in fixed.items():
-            xs[i] = v
-        known = np.nonzero(~np.isnan(xs))[0]
-        for a, b in zip(known[:-1], known[1:]):
-            span = b - a
-            if span > 1:
-                xs[a + 1 : b] = xs[a] + (xs[b] - xs[a]) * np.arange(1, span) / span
-        # narrow unassigned slivers to width delta against their right edge
-        for j in range(m):
-            if ("sliver", j, None) not in assigned:
-                left = j * (n + 1) + n
-                xs[left] = xs[left + 1] - delta
-        if np.diff(xs).min() <= 0:
-            raise ResolutionError("grid collision while narrowing slivers")
+        xs = _closure_grid(interior, m, n, delta)
         ys = eval_cpl(g, xs) + shift
         plan = Lemma2Plan(m, n, SampleSet(xs, np.maximum(ys, 0.0), m, n))
         net, _ = lemma2_interpolant(plan)

@@ -220,19 +220,9 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
 
     kinks = []
     idx = np.nonzero(flagged)[0]
-    run_start = None
-    runs = []
-    for i in idx:
-        if run_start is None:
-            run_start = prev = i
-        elif i == prev + 1:
-            prev = i
-        else:
-            runs.append((run_start, prev))
-            run_start = prev = i
-    if run_start is not None:
-        runs.append((run_start, prev))
-    for a_i, b_i in runs:
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1) if idx.size else []
+    for run in runs:
+        a_i, b_i = run[0], run[-1]
         sl, sr = slopes[a_i], slopes[b_i + 1]
         separated = abs(sl - sr) > SLOPE_TOL * max(abs(sl), abs(sr), 1.0)
         if b_i - a_i <= 1 and separated:

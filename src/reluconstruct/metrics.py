@@ -12,6 +12,7 @@ from .errors import CertificateError, RegistryError, ResourceError, ShapeError
 from .network import ReluNetwork, evaluate_batch
 
 __all__ = [
+    "GRID_POINT_CAP",
     "GridSpec",
     "RateFit",
     "default_grid",
@@ -22,6 +23,8 @@ __all__ = [
     "rate_fit",
 ]
 
+# largest grid any caller may ask for: the d = 3 default, 256^3 points
+GRID_POINT_CAP = 256**3
 # evaluation happens in fixed-size chunks in index order, so sums are
 # bit-stable regardless of how callers parallelize around this module
 _CHUNK = 1 << 18
@@ -35,12 +38,11 @@ _PAD = 1e-9
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor quadrature grid over [0, 1]^d."""
+    """Tensor quadrature grid over [0, 1]^d of at most ``GRID_POINT_CAP`` points."""
 
     d: int
     points_per_axis: int
     rule: str = "midpoint"
-    cap: int = 10**7
 
     def __post_init__(self):
         for name in ("d", "points_per_axis"):
@@ -54,9 +56,9 @@ class GridSpec:
             raise ShapeError("points_per_axis must be at least 2")
         if self.rule not in ("midpoint", "trapezoid"):
             raise ValueError(f"unknown quadrature rule: {self.rule!r}")
-        if self.total_points > self.cap:
+        if self.total_points > GRID_POINT_CAP:
             raise ResourceError(
-                f"{self.total_points} grid points exceed the cap of {self.cap}"
+                f"{self.total_points} grid points exceed the cap of {GRID_POINT_CAP}"
             )
 
     @property
@@ -71,7 +73,7 @@ def default_grid(d: int) -> GridSpec:
     if d == 2:
         return GridSpec(2, 2048)
     if d == 3:
-        return GridSpec(3, 256, cap=256**3)
+        return GridSpec(3, 256)
     raise ShapeError("default grids cover d in {1, 2, 3}")
 
 
@@ -252,13 +254,10 @@ def holder_family(name: str, d: int, alpha: float, nu: float) -> HolderTarget:
     """
     if name not in _FAMILIES:
         raise RegistryError(f"unknown target family: {name!r}")
-    if not 0 < alpha <= 1:
-        raise CertificateError("alpha must lie in (0, 1]")
-    if nu <= 0:
-        raise CertificateError("nu must be positive")
+    target = HolderTarget(f=_FAMILIES[name](d, alpha, nu), d=d, alpha=alpha, nu=nu)
     if name == "linear" and alpha != 1:
         raise CertificateError("the linear family is certified only for alpha = 1")
-    return HolderTarget(f=_FAMILIES[name](d, alpha, nu), d=d, alpha=alpha, nu=nu)
+    return target
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from reluconstruct import (
     HolderTarget,
     Lemma2Plan,
     SampleSet,
+    build_1d,
     choose_delta,
     corollary32_check,
     cpl_from_net_1d,
@@ -39,7 +40,6 @@ from reluconstruct import (
     shared_mem,
     shared_time,
     spot_check_holder,
-    theorem_d1,
 )
 from reluconstruct.cli import main as cli_main
 
@@ -126,7 +126,7 @@ def test_criterion_3_theorem_d1_bound():
     for alpha in (0.5, 1.0):
         tgt = holder_family("cone", 1, alpha, 1.0)
         for big_n in (2, 4, 8, 16):
-            net = theorem_d1(tgt, big_n, DeltaPolicy(mode="empirical-shrink"))
+            net = build_1d(tgt, big_n, DeltaPolicy(mode="empirical-shrink")).net
             err = l1_error(tgt, net, grid)
             bound = 2.0 * big_n ** (-2.0 * alpha)
             if alpha == 1.0:
@@ -195,9 +195,9 @@ def test_criterion_5_rate_separation():
     for big_n in ns:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            net = theorem_d1(tgt, big_n)
+            net = build_1d(tgt, big_n).net
         runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not runtime, f"criterion 5: theorem_d1 N={big_n} warned {runtime}"
+        assert not runtime, f"criterion 5: build_1d N={big_n} warned {runtime}"
         two_hidden.append((big_n, l1_error(tgt, net, grid)))
 
     one_hidden = []
@@ -322,10 +322,10 @@ def test_criterion_9_determinism_round_trip(tmp_path):
         net, _ = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, rng.uniform(0, 2, xs.size), m, n)))
         nets.append(net)
     for big_n in (2, 3, 4, 5):
-        nets.append(theorem_d1(holder_family("cone", 1, 0.5, 1.0), big_n))
+        nets.append(build_1d(holder_family("cone", 1, 0.5, 1.0), big_n).net)
     for alpha in (0.25, 0.5, 0.75, 1.0):
         for big_n in (2, 3, 4):
-            nets.append(theorem_d1(holder_family("cone", 1, alpha, 1.0), big_n))
+            nets.append(build_1d(holder_family("cone", 1, alpha, 1.0), big_n).net)
     assert len(nets) >= 100
     for i, net in enumerate(nets[:100]):
         back = deserialize(serialize(net))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -236,6 +237,13 @@ class TestCheck:
         text = report.read_text()
         assert "<testsuite" in text and 'name="lemma2"' in text
         assert 'failures="0"' in text
+
+    def test_every_suite_passes(self, tmp_path, capsys):
+        report = tmp_path / "report.xml"
+        assert run(["check", "--out", report]) == 0
+        suites = ET.parse(report).getroot().findall("testsuite")
+        assert len(suites) == 6
+        assert all(s.get("failures") == "0" for s in suites)
 
 
 class TestUsageErrors:

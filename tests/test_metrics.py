@@ -37,9 +37,15 @@ def zero_net(d=1):
 
 
 class TestGridSpec:
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceError):
-            GridSpec(3, 4000)
+    @pytest.mark.parametrize("d,p", [(3, 256), (2, 4097), (3, 4000)])
+    def test_cap_enforced(self, d, p):
+        # one cap for every caller: the largest default grid, 256^3 points
+        assert metrics.GRID_POINT_CAP == default_grid(3).total_points == 256**3
+        if p**d <= metrics.GRID_POINT_CAP:
+            assert GridSpec(d, p).total_points == p**d
+        else:
+            with pytest.raises(ResourceError, match=f"exceed the cap of {256**3}"):
+                GridSpec(d, p)
 
     def test_defaults(self):
         assert default_grid(1).points_per_axis == 10**6
@@ -430,6 +436,11 @@ class TestHolderFamily:
     def test_alpha_range(self):
         with pytest.raises(CertificateError):
             holder_family("cone", 1, 1.5, 1.0)
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan")])
+    def test_nu_must_be_positive(self, nu):
+        with pytest.raises(CertificateError, match="nu must be positive"):
+            holder_family("cone", 1, 1.0, nu)
 
 
 class TestRateFit:

@@ -1,5 +1,6 @@
 """Hoelder approximants, the staircase encoder, delta policy, and CPL closure."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,8 +34,6 @@ from reluconstruct import (
     net_to_cpl_exact,
     psi0,
     psi_projection,
-    theorem_d1,
-    theorem_dd,
 )
 from reluconstruct import construct
 
@@ -44,13 +43,13 @@ GRID_1D = GridSpec(1, 200000)
 class TestTheoremD1:
     def test_zero_target_gives_zero_network(self):
         tgt = holder_family("zero", 1, 1.0, 1.0)
-        net = theorem_d1(tgt, 3)
+        net = build_1d(tgt, 3).net
         probes = np.linspace(0.0, 1.0, 1001)
         assert np.max(np.abs(evaluate_batch(net, probes))) <= 1e-9
 
     def test_cone_alpha1_bound_at_n4(self):
         tgt = holder_family("cone", 1, 1.0, 1.0)
-        net = theorem_d1(tgt, 4)
+        net = build_1d(tgt, 4).net
         assert net.hidden_widths == [8, 9]
         assert l1_error(tgt, net, GRID_1D) <= 2.0 * 4.0 ** -2
 
@@ -69,7 +68,7 @@ class TestTheoremD1:
         rng = np.random.default_rng(44)
         nu, alpha = 2.5, 0.75
         tgt = holder_family("cone", 1, alpha, nu)
-        direct = theorem_d1(tgt, 3)
+        direct = build_1d(tgt, 3).net
         normalized = HolderTarget(
             f=lambda pts: (tgt(pts) - tgt(np.zeros((1, 1)))[0]) / nu, d=1, alpha=alpha, nu=1.0
         )
@@ -82,7 +81,7 @@ class TestTheoremD1:
 
     def test_wrong_dimension(self):
         with pytest.raises(ShapeError):
-            theorem_d1(holder_family("cone", 2, 1.0, 1.0), 4)
+            build_1d(holder_family("cone", 2, 1.0, 1.0), 4).net
 
     @pytest.mark.parametrize("mode", [EMPIRICAL_SHRINK, PAPER_SUFFICIENT])
     def test_one_lemma2_build_per_delta_candidate(self, monkeypatch, mode):
@@ -133,7 +132,7 @@ class TestPsi0:
 class TestTheoremDD:
     def test_zero_target_d2(self):
         tgt = holder_family("zero", 2, 1.0, 1.0)
-        net = theorem_dd(tgt, 4)
+        net = build_dd(tgt, 4).net
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, (2000, 2))
         assert np.max(np.abs(evaluate_batch(net, pts))) <= 1e-9
@@ -170,16 +169,16 @@ class TestTheoremDD:
         assert c.n == 2 and c.n_prime == 3
         widths = c.net.hidden_widths
         assert widths == [2 * 3 * 2, 2 * 3, 2 * 3 + 1]
-        err = l1_error(tgt, c.net, GridSpec(3, 64, cap=64**3))
+        err = l1_error(tgt, c.net, GridSpec(3, 64))
         assert err <= c.bound
 
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGridError):
-            theorem_dd(holder_family("cone", 2, 1.0, 1.0), 1)
+            build_dd(holder_family("cone", 2, 1.0, 1.0), 1).net
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
-            theorem_dd(holder_family("cone", 3, 1.0, 1.0), 71)
+            build_dd(holder_family("cone", 3, 1.0, 1.0), 71).net
         with pytest.raises(ShapeError):
             build_dd(holder_family("cone", 1, 1.0, 1.0), 4)
 
@@ -226,7 +225,70 @@ class TestChooseDelta:
         assert exc.value.achieved == 1.0
 
 
+def reference_closure_grid(interior, m, n, delta):
+    """The closure grid as a slot state machine: the layout ``_closure_grid`` replaced."""
+    slots = []
+    for j in range(m):
+        slots.extend(("interior", j, p) for p in range(1, n))
+        slots.append(("sliver", j, None))
+    assigned = {s: float(interior[i]) for i, s in enumerate(slots[: len(interior)])}
+    last = m * (n + 1)
+    fixed = {0: 0.0}
+    extension = False
+    for (kind, j, p), beta in assigned.items():
+        if kind == "interior":
+            fixed[j * (n + 1) + p] = beta
+        elif j < m - 1:
+            fixed[j * (n + 1) + n] = beta - delta
+            fixed[(j + 1) * (n + 1)] = beta
+        else:
+            fixed[last - 1] = beta
+            fixed[last] = beta + delta
+            extension = True
+    if not extension:
+        fixed[last - 1] = 1.0 - delta
+        fixed[last] = 1.0
+    xs = np.full(last + 1, np.nan)
+    for i, v in fixed.items():
+        xs[i] = v
+    known = np.nonzero(~np.isnan(xs))[0]
+    for a, b in zip(known[:-1], known[1:]):
+        span = b - a
+        if span > 1:
+            xs[a + 1 : b] = xs[a] + (xs[b] - xs[a]) * np.arange(1, span) / span
+    for j in range(m):
+        if ("sliver", j, None) not in assigned:
+            left = j * (n + 1) + n
+            xs[left] = xs[left + 1] - delta
+    if np.diff(xs).min() <= 0:
+        raise ResolutionError("grid collision while narrowing slivers")
+    return xs
+
+
 class TestCorollary32:
+    def test_grid_matches_slot_reference(self):
+        rng = np.random.default_rng(32)
+        outcomes = {True: 0, False: 0}
+        for m, n in itertools.product(range(1, 7), repeat=2):
+            for q in range(m * n + 1):
+                for interior in (np.sort(rng.uniform(0.0, 1.0, q)), np.arange(1, q + 1) / (q + 1)):
+                    gaps = np.diff(np.concatenate(([0.0], interior, [1.0])))
+                    delta_cap = float(np.min(gaps)) / max(4, n + 2)
+                    for delta in (delta_cap, delta_cap / 2, delta_cap / 64, 1e-9, 1e-12):
+                        try:
+                            expected = reference_closure_grid(interior, m, n, delta)
+                        except ResolutionError:
+                            expected = None
+                        if expected is None:
+                            with pytest.raises(ResolutionError):
+                                construct._closure_grid(interior, m, n, delta)
+                        else:
+                            xs = construct._closure_grid(interior, m, n, delta)
+                            assert xs.tobytes() == expected.tobytes(), (m, n, q, delta)
+                        outcomes[expected is None] += 1
+        # both the layout and the collision path are exercised
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
     def test_two_piece_function(self):
         g = CplFunction([0.0, 0.4, 1.0], [0.0, 0.8, 0.1])
         net, err = corollary32_check(g, 2, 2, 1e-3)
