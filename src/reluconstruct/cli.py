@@ -118,6 +118,11 @@ def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Constructio
 # construct
 
 
+def _infeasible_record(e: ConstructionInfeasibleError) -> dict:
+    return {"error": "construction-infeasible", "message": str(e), "achieved": e.achieved,
+            "delta": e.delta}
+
+
 def _check_writable(path: str):
     """Raise OSError unless a file can be written at ``path``, writing nothing."""
     folder = os.path.dirname(path) or "."
@@ -138,18 +143,10 @@ def cmd_construct(args) -> int:
     try:
         c = _build(target, args.N, policy)
     except ConstructionInfeasibleError as e:
-        record = {
-            "error": "construction-infeasible",
-            "message": str(e),
-            "achieved": e.achieved,
-            "delta": e.delta,
-            "config": config,
-            "version": __version__,
-        }
         if args.meta:
-            _write_json(args.meta, record)
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 3
+            _write_json(args.meta, {**_infeasible_record(e), "config": config,
+                                    "version": __version__})
+        raise
     measured = l1_error(target, c.net, grid)
     with open(args.out, "wb") as fh:
         fh.write(serialize(c.net))
@@ -531,7 +528,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except ConstructionInfeasibleError as e:
-        print(json.dumps({"error": "construction-infeasible", "message": str(e)}), file=sys.stderr)
+        print(json.dumps(_infeasible_record(e), sort_keys=True), file=sys.stderr)
         return 3
 
 

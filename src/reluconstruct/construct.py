@@ -10,6 +10,7 @@ Hoelder approximants build on it with a puncture width delta chosen by a
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .cpl import (
+    MIN_BREAK_GAP,
     CplFunction,
     SampleSet,
     _Mesh,
@@ -70,10 +72,6 @@ RESIDUAL_SNAP = 1e-12
 
 # Factor between successive empirical-shrink delta candidates.
 DELTA_SHRINK = 0.5
-
-# Cap on empirical-shrink candidates.  Halving from below half a unit gap
-# reaches the default floor of 1e-12 in under 40 steps.
-MAX_DELTA_ITERATIONS = 80
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
 # don't-care width policy
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaPolicy:
     """How to pick the don't-care width delta.
 
@@ -232,7 +230,7 @@ class DeltaPolicy:
     dozen or more; the result is then clamped at ``floor`` and flagged).
     ``empirical-shrink`` starts at ``DELTA_SHRINK * (half the minimum grid
     gap)`` and keeps multiplying by ``DELTA_SHRINK`` until the measured
-    don't-care contribution fits the budget.
+    don't-care contribution fits the budget or delta reaches ``floor``.
     """
 
     mode: str = EMPIRICAL_SHRINK
@@ -242,8 +240,8 @@ class DeltaPolicy:
     def __post_init__(self):
         if self.mode not in (PAPER_SUFFICIENT, EMPIRICAL_SHRINK):
             raise ValueError(f"unknown delta mode: {self.mode!r}")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
+        if not MIN_BREAK_GAP < self.floor < math.inf:
+            raise ValueError(f"floor must lie in ({MIN_BREAK_GAP:g}, inf), got {self.floor!r}")
 
 
 @dataclass
@@ -280,6 +278,8 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
     minimum gap.  In empirical mode a floor hit without meeting the budget
     raises :class:`ConstructionInfeasibleError` carrying the measured error.
     """
+    if not 0 < context.min_gap < math.inf:
+        raise ValueError(f"min_gap must be positive and finite, got {context.min_gap!r}")
     half_gap = 0.5 * context.min_gap
     cap = half_gap * (1.0 - 1e-9)
 
@@ -302,20 +302,18 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
         raise ValueError("empirical-shrink mode needs an h_error measurement")
     budget = context.budget if policy.target is None else policy.target
     delta = DELTA_SHRINK * half_gap
-    err = None
-    for it in range(MAX_DELTA_ITERATIONS):
+    for it in itertools.count(1):
         err = context.h_error(delta)
         if err <= budget:
-            return DeltaChoice(delta=delta, iterations=it + 1, h_error=err)
+            return DeltaChoice(delta=delta, iterations=it, h_error=err)
         if delta <= policy.floor:
-            break
+            raise ConstructionInfeasibleError(
+                f"measured error {err:.3e} still exceeds budget {budget:.3e} "
+                f"at the floor width {delta:.3e}",
+                achieved=err,
+                delta=delta,
+            )
         delta = max(delta * DELTA_SHRINK, policy.floor)
-    raise ConstructionInfeasibleError(
-        f"measured error {err:.3e} still exceeds budget {budget:.3e} "
-        f"at the floor width {delta:.3e}",
-        achieved=err,
-        delta=delta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +401,64 @@ def _shifted_samples(target: HolderTarget, points: np.ndarray, f0: float, lift: 
 
 
 # ---------------------------------------------------------------------------
+# Punctured grids: the layout and the lemma-2 fit of every construction
+
+
+def _closure_grid(interior: np.ndarray, m: int, n: int, delta: float) -> np.ndarray:
+    """The ``m(n+1) + 1`` abscissae of every punctured fit, for the given interior breaks.
+
+    The theorem grid has the breaks ``arange(1, N^2) / N^2`` and m = n = N,
+    the staircase ``arange(1, n) / n`` in n blocks of one slot, the closure
+    check the interior breaks of g.  Breaks fill kink slots from left to
+    right: break k sits at grid position ``(k // n)(n+1) + k % n + 1``, and
+    slot ``n - 1`` of each block is the block's trailing width-delta sliver.
+    A sliver ends at its break, except the last block's, which starts at it:
+    then the network's linear tail carries g's final piece beyond the grid.
+    The known positions form a prefix; the rest are spread evenly up to
+    ``1 - delta``, and every sliver without a break gets width delta against
+    its right end.
+    """
+    last, q = m * (n + 1), len(interior)
+    k = np.arange(q)
+    pos = k // n * (n + 1) + k % n + 1
+    xs = np.zeros(last + 1)
+    xs[pos] = interior
+    slivers = pos[k % n == n - 1]
+    xs[slivers + 1] = xs[slivers]
+    if q == m * n:
+        xs[last] += delta
+        slivers = slivers[:-1]
+    xs[slivers] -= delta
+    if q < m * n:
+        # the prefix ends at the last break, or one past it when it ends a sliver
+        a = pos[-1] + int(q % n == 0) if q else 0
+        b = last - 1
+        xs[b:] = 1.0 - delta, 1.0
+        xs[a + 1 : b] = xs[a] + (xs[b] - xs[a]) * np.arange(1, b - a) / (b - a)
+        left = (n + 1) * np.arange(q // n, m) + n
+        xs[left] = xs[left + 1] - delta
+    if np.diff(xs).min() <= 0:
+        raise ResolutionError("grid collision while narrowing slivers")
+    return xs
+
+
+def _sliver_fit(sample, interior, m: int, n: int):
+    """Lemma 2 fitted to ``sample(xs) >= 0`` on the :func:`_closure_grid` abscissae.
+
+    Returns ``build(delta) -> (xs, ys, net)``; it keeps the accepted delta's fit.
+    """
+
+    @functools.lru_cache(maxsize=1)
+    def build(delta: float):
+        xs = _closure_grid(interior, m, n, delta)
+        ys = sample(xs)
+        net, _ = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, ys, m, n)))
+        return xs, ys, net
+
+    return build
+
+
+# ---------------------------------------------------------------------------
 # Theorem constructions, d = 1
 
 
@@ -424,15 +480,6 @@ class Construction:
     n_prime: int
 
 
-def _grid_1d(n_cap: int, blocks: int, delta: float) -> np.ndarray:
-    base = np.arange(n_cap + 1) / n_cap
-    punct = np.arange(1, blocks + 1) / blocks - delta
-    xs = np.sort(np.concatenate((base, punct)))
-    if np.diff(xs).min() <= 0:
-        raise ResolutionError("puncture width collides with the base grid")
-    return xs
-
-
 def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> Construction:
     """Hidden-width ``[2N, 2N+1]`` approximant of a 1-D Hoelder target.
 
@@ -450,15 +497,9 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
 
     f0 = float(target(np.zeros((1, 1)))[0])
     alpha = target.alpha
-
-    # the search's last candidate is the accepted one: keep it, not rebuild it
-    @functools.lru_cache(maxsize=1)
-    def build(delta: float):
-        xs = _grid_1d(big_n * big_n, big_n, delta)
-        ys = _shifted_samples(target, xs[:, None], f0, 1.0)
-        plan = Lemma2Plan(big_n, big_n, SampleSet(xs, ys, big_n, big_n))
-        net, _ = lemma2_interpolant(plan)
-        return xs, ys, net
+    n_cap = big_n * big_n
+    build = _sliver_fit(lambda xs: _shifted_samples(target, xs[:, None], f0, 1.0),
+                        np.arange(1, n_cap) / n_cap, big_n, big_n)
 
     def h0_error(delta: float) -> float:
         """Upper bound of the don't-care L1 contribution, on the lifted scale.
@@ -482,7 +523,7 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
         math.log(2.0), math.log(6.0) + math.lgamma(big_n + 2)
     )
     ctx = DeltaContext(
-        min_gap=1.0 / (big_n * big_n),
+        min_gap=1.0 / n_cap,
         budget=float(big_n) ** (-2.0 * alpha),
         denom_log=float(denom_log),
         h_error=h0_error,
@@ -491,7 +532,7 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     xs, _, net = build(choice.delta)
     final = affine_post(net, target.nu, f0 - target.nu)
     bound = 2.0 * target.nu * float(big_n) ** (-2.0 * alpha)
-    return Construction(final, choice, bound, grid=xs, n=big_n * big_n, n_prime=big_n)
+    return Construction(final, choice, bound, grid=xs, n=n_cap, n_prime=big_n)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +549,7 @@ def psi0(n: int, delta: float) -> ReluNetwork:
         raise ValueError("n must be a positive integer")
     if not 0 < delta < 0.5 / n:
         raise ValueError("delta must lie in (0, 1/(2n))")
-    xs = _grid_1d(n, n, delta)
+    xs = _closure_grid(np.arange(1, n) / n, n, 1, delta)
     # plateau i covers [i/n, (i+1)/n - delta]; the top plateau keeps n-1
     ys = np.empty(2 * n + 1)
     ys[0::2] = np.arange(n + 1)
@@ -549,15 +590,6 @@ def _floor_power(big_n: int, d: int) -> int:
     return n
 
 
-def _ceil_sqrt_power(n: int, d: int) -> int:
-    """Smallest integer k with k^2 >= n^d."""
-    nd = n ** d
-    k = math.isqrt(nd)
-    if k * k < nd:
-        k += 1
-    return k
-
-
 def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None) -> Construction:
     """Three-hidden-layer approximant of a d>1 Hoelder target.
 
@@ -582,23 +614,17 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
         raise ResolutionError(
             "cell codes would be spaced below ~2e-4: supported range is d <= 3, n <= 16"
         )
-    n_prime = _ceil_sqrt_power(n, d)
+    n_prime = math.isqrt(n ** d - 1) + 1  # the smallest k with k^2 >= n^d
 
     f0 = float(target(np.zeros((1, d)))[0])
     sqd = math.sqrt(d)
     alpha = target.alpha
 
-    # cell representatives theta/n, coded as t/n^d with t the base-n digits
+    # cell representatives theta/n in C order, coded as t/n^d with t the base-n digits
     nd = n ** d
-    ts = np.arange(nd)
-    theta = np.empty((nd, d))
-    rest = ts.copy()
-    for i in range(d - 1, -1, -1):
-        theta[:, i] = rest % n
-        rest //= n
-    points = theta / n
+    points = np.indices((n,) * d).reshape(d, -1).T / n
     ys_cells = _shifted_samples(target, points, f0, sqd)
-    xs_cells = ts / float(nd)
+    xs_cells = np.arange(nd) / float(nd)
 
     surplus = n_prime * (n_prime + 1) + 1 - (nd + 1)
     pad_xs = 1.0 - 1.0 / nd + (np.arange(1, surplus + 1) / (surplus + 1)) / nd
@@ -637,41 +663,6 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
 # CPL absorption (closure property)
 
 
-def _closure_grid(interior: np.ndarray, m: int, n: int, delta: float) -> np.ndarray:
-    """The ``m(n+1) + 1`` abscissae of the closure fit for the given interior breaks.
-
-    Breaks fill kink slots from left to right: break k sits at grid position
-    ``(k // n)(n+1) + k % n + 1``, and slot ``n - 1`` of each block is the
-    block's trailing width-delta sliver.  A sliver ends at its break, except
-    the last block's, which starts at it: then the network's linear tail
-    carries g's final piece beyond the grid.  The known positions form a
-    prefix; the rest are spread evenly up to ``1 - delta``, and every sliver
-    without a break gets width delta against its right end.
-    """
-    last, q = m * (n + 1), len(interior)
-    k = np.arange(q)
-    pos = k // n * (n + 1) + k % n + 1
-    xs = np.zeros(last + 1)
-    xs[pos] = interior
-    slivers = pos[k % n == n - 1]
-    xs[slivers + 1] = xs[slivers]
-    if q == m * n:
-        xs[last] += delta
-        slivers = slivers[:-1]
-    xs[slivers] -= delta
-    if q < m * n:
-        # the prefix ends at the last break, or one past it when it ends a sliver
-        a = pos[-1] + int(q % n == 0) if q else 0
-        b = last - 1
-        xs[b:] = 1.0 - delta, 1.0
-        xs[a + 1 : b] = xs[a] + (xs[b] - xs[a]) * np.arange(1, b - a) / (b - a)
-        left = (n + 1) * np.arange(q // n, m) + n
-        xs[left] = xs[left + 1] - delta
-    if np.diff(xs).min() <= 0:
-        raise ResolutionError("grid collision while narrowing slivers")
-    return xs
-
-
 def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     """Drive a ``[2m, 2n+1]`` network within ``epsilon`` of a CPL in L1 on [0, 1].
 
@@ -701,18 +692,11 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     delta_cap = float(np.min(gaps)) / max(4, n + 2)
 
     policy = DeltaPolicy()
-
-    @functools.lru_cache(maxsize=1)
-    def build(delta: float):
-        xs = _closure_grid(interior, m, n, delta)
-        ys = eval_cpl(g, xs) + shift
-        plan = Lemma2Plan(m, n, SampleSet(xs, np.maximum(ys, 0.0), m, n))
-        net, _ = lemma2_interpolant(plan)
-        return xs, affine_post(net, 1.0, -shift)
+    build = _sliver_fit(lambda xs: np.maximum(eval_cpl(g, xs) + shift, 0.0), interior, m, n)
 
     def measure(delta: float) -> float:
         try:
-            xs, net = build(delta)
+            xs, _, net = build(delta)
         except ResolutionError:
             if delta <= policy.floor:
                 raise
@@ -722,10 +706,10 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
             lo, hi = xs[j * (n + 1) - 1], xs[j * (n + 1)]
             pad = hi - lo
             probes.append(np.linspace(max(0.0, lo - pad), min(1.0, hi + pad), 41))
-        extracted = _extract_cpl(net, np.concatenate(probes))
+        extracted = _extract_cpl(affine_post(net, 1.0, -shift), np.concatenate(probes))
         return exact_l1_cpl(extracted, g, 0.0, 1.0)
 
     # the search starts at a quarter of min_gap, which is exactly delta_cap
     ctx = DeltaContext(min_gap=4.0 * delta_cap, budget=epsilon, h_error=measure)
     choice = choose_delta(policy, ctx)
-    return build(choice.delta)[1], choice.h_error
+    return affine_post(build(choice.delta)[2], 1.0, -shift), choice.h_error

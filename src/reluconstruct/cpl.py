@@ -255,8 +255,9 @@ def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 200
 
     Brute-force oracle used by tests to check linearity claims: a relative
     slope change above 1e-6 between adjacent probe segments flags a break,
-    which is then localized by bisection.  Features narrower than the probe
-    spacing can be missed; choose ``probe_count`` accordingly.
+    placed where the pure lines on either side of its flagged run intersect
+    (see :func:`_extract_cpl`).  Features narrower than the probe spacing
+    can be missed; choose ``probe_count`` accordingly.
     """
     if net.input_dim != 1:
         raise ShapeError("cpl_from_net_1d needs a 1-D network")

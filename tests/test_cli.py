@@ -6,8 +6,8 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from reluconstruct import (DeltaPolicy, GridSpec, build_1d, cli, deserialize, evaluate,
-                           holder_family, l1_error, linf_error, metrics)
+from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, build_1d, cli,
+                           deserialize, evaluate, holder_family, l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
 
@@ -65,6 +65,20 @@ class TestConstruct:
         assert code == 3
         err = capsys.readouterr().err
         assert "construction-infeasible" in err
+
+    def test_infeasible_meta_record(self, tmp_path, capsys):
+        out, meta = tmp_path / "x.json", tmp_path / "m.json"
+        code = run(["construct", "--alpha", "0.5", "--N", "2", "--out", out, "--meta", meta,
+                    "--delta-target", "1e-300", "--delta-floor", "1e-8"])
+        assert code == 3
+        assert not out.exists()
+        record = json.loads(meta.read_text())
+        assert sorted(record) == ["achieved", "config", "delta", "error", "message", "version"]
+        assert record["error"] == "construction-infeasible"
+        assert record["delta"] == 1e-8 and record["achieved"] > 0
+        assert record["config"]["delta_floor"] == 1e-8
+        stderr = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert stderr == {k: record[k] for k in ("achieved", "delta", "error", "message")}
 
     def test_config_document_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -238,6 +252,24 @@ class TestCheck:
         assert "<testsuite" in text and 'name="lemma2"' in text
         assert 'failures="0"' in text
 
+    def test_infeasible_closure_exits_3(self, capsys, monkeypatch):
+        def infeasible(g, m, n, eps):
+            raise ConstructionInfeasibleError("closure out of reach", achieved=0.5, delta=1e-12)
+
+        monkeypatch.setattr(cli, "corollary32_check", infeasible)
+        assert run(["check", "--suite", "corollary32"]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"achieved": 0.5, "delta": 1e-12, "error": "construction-infeasible",
+                          "message": "closure out of reach"}
+
+    def test_failing_suite_exits_1_with_failure_element(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._SUITES, "failing", lambda seed, m, n: [("case", False, "why")])
+        report = tmp_path / "report.xml"
+        assert run(["check", "--suite", "failing", "--out", report]) == 1
+        (failure,) = ET.parse(report).getroot().iter("failure")
+        assert failure.get("message") == "why"
+        assert "FAIL failing.case: why" in capsys.readouterr().out
+
     def test_every_suite_passes(self, tmp_path, capsys):
         report = tmp_path / "report.xml"
         assert run(["check", "--out", report]) == 0
@@ -311,6 +343,16 @@ class TestUsageErrors:
         argv = ["construct", "--N", "2"] + [t for kv in paths.items() for t in kv]
         assert exit_code(argv) == 2
         assert "missing-dir" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_delta_floor_below_min_break_gap(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        code = exit_code(["construct", "--N", "4", "--out", tmp_path / "x.json",
+                          "--delta-floor", "1e-40"])
+        assert code == 2
+        assert "floor" in capsys.readouterr().err
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 

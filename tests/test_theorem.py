@@ -1,5 +1,6 @@
 """Hoelder approximants, the staircase encoder, delta policy, and CPL closure."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from reluconstruct import (
     EMPIRICAL_SHRINK,
     PAPER_SUFFICIENT,
     Construction,
+    CertificateError,
     ConstructionInfeasibleError,
     CplFunction,
     DegenerateGridError,
@@ -36,6 +38,7 @@ from reluconstruct import (
     psi_projection,
 )
 from reluconstruct import construct
+from reluconstruct.cpl import MIN_BREAK_GAP
 
 GRID_1D = GridSpec(1, 200000)
 
@@ -224,6 +227,26 @@ class TestChooseDelta:
             choose_delta(DeltaPolicy(floor=1e-6), ctx)
         assert exc.value.achieved == 1.0
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf, MIN_BREAK_GAP, 1e-30])
+    def test_floor_must_lie_above_min_break_gap(self, floor):
+        with pytest.raises(ValueError, match="floor"):
+            DeltaPolicy(floor=floor)
+
+    def test_checked_fields_cannot_be_reassigned(self):
+        policy = DeltaPolicy()
+        for field, value in (("floor", 1e-30), ("mode", "bisect")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(policy, field, value)
+
+    def test_unmet_budget_runs_to_the_floor(self):
+        tried = []
+        ctx = DeltaContext(min_gap=1.0, budget=1e-6, h_error=lambda d: tried.append(d) or 1.0)
+        with pytest.raises(ConstructionInfeasibleError, match="floor width 1.000e-12") as exc:
+            choose_delta(DeltaPolicy(floor=1e-12), ctx)
+        assert exc.value.delta == 1e-12
+        assert tried[0] == 0.25 and tried[-1] == 1e-12
+        assert all(b == max(a / 2, 1e-12) for a, b in zip(tried, tried[1:]))
+
 
 def reference_closure_grid(interior, m, n, delta):
     """The closure grid as a slot state machine: the layout ``_closure_grid`` replaced."""
@@ -263,6 +286,39 @@ def reference_closure_grid(interior, m, n, delta):
     if np.diff(xs).min() <= 0:
         raise ResolutionError("grid collision while narrowing slivers")
     return xs
+
+
+def reference_grid_1d(n_cap, blocks, delta):
+    """``{i/n_cap} + {j/blocks - delta}`` sorted: the theorem layout ``_closure_grid`` replaced."""
+    base = np.arange(n_cap + 1) / n_cap
+    punct = np.arange(1, blocks + 1) / blocks - delta
+    xs = np.sort(np.concatenate((base, punct)))
+    if np.diff(xs).min() <= 0:
+        raise ResolutionError("puncture width collides with the base grid")
+    return xs
+
+
+@pytest.mark.parametrize("form", ["build_1d", "psi0"])
+def test_theorem_grids_match_sorted_reference(form):
+    outcomes = {True: 0, False: 0}
+    for k in range(1, 65):
+        # build_1d: N = k, base grid k^2, k blocks of k slots; psi0: n = k blocks of one slot
+        n_cap, m, n = (k * k, k, k) if form == "build_1d" else (k, k, 1)
+        for delta in (0.49 / n_cap, 0.25 / n_cap, 1e-3 / n_cap, 1e-9, 1e-12, 1e-17):
+            try:
+                expected = reference_grid_1d(n_cap, k, delta)
+            except ResolutionError:
+                expected = None
+            interior = np.arange(1, n_cap) / n_cap
+            if expected is None:
+                with pytest.raises(ResolutionError):
+                    construct._closure_grid(interior, m, n, delta)
+            else:
+                xs = construct._closure_grid(interior, m, n, delta)
+                assert xs.tobytes() == expected.tobytes(), (k, delta)
+            outcomes[expected is None] += 1
+    # the 1e-17 widths round away at the larger breaks: both paths are exercised
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
 
 
 class TestCorollary32:
@@ -368,6 +424,55 @@ def test_certificate_spot_check_warns():
     understated = HolderTarget(f=takagi(16), d=1, alpha=1.0, nu=5.0)
     with pytest.warns(RuntimeWarning, match=r"ratio 2\.400"):
         build_1d(understated, 2)
+
+
+_CONE_1D = holder_family("cone", 1, 1.0, 1.0)
+_CONE_2D = holder_family("cone", 2, 1.0, 1.0)
+_HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: DeltaPolicy(mode="bisect"), ValueError, "unknown delta mode"),
+        (lambda: choose_delta(DeltaPolicy(mode=PAPER_SUFFICIENT),
+                              DeltaContext(min_gap=0.1, budget=1.0)),
+         ValueError, "closed-form denominator"),
+        (lambda: choose_delta(DeltaPolicy(), DeltaContext(min_gap=0.1, budget=1.0)),
+         ValueError, "h_error"),
+        # a search from an infinite or NaN width would never reach the floor
+        *[(lambda gap=gap: choose_delta(DeltaPolicy(), DeltaContext(gap, 0.0, None, lambda d: 1.0)),
+           ValueError, "min_gap") for gap in (math.inf, math.nan, 0.0, -1.0)],
+        (lambda: HolderTarget(f=lambda pts: pts[:, 0], d=0, alpha=1.0, nu=1.0),
+         ShapeError, "d must be"),
+        (lambda: build_1d(_CONE_1D, 0), ValueError, "N must be"),
+        (lambda: build_dd(_CONE_2D, 0), ValueError, "N must be"),
+        (lambda: psi0(0, 0.1), ValueError, "n must be"),
+        (lambda: corollary32_check(_HAT, 0, 1, 1e-3), ValueError, "m and n"),
+        (lambda: corollary32_check(_HAT, 1, 0, 1e-3), ValueError, "m and n"),
+        (lambda: corollary32_check(_HAT, 1, 1, 0.0), ValueError, "epsilon"),
+        (lambda: corollary32_check(_HAT, 1, 1, -1e-3), ValueError, "epsilon"),
+    ],
+    ids=["delta-mode", "paper-without-denominator", "empirical-without-h-error",
+         "min-gap-inf", "min-gap-nan", "min-gap-0", "min-gap-negative",
+         "holder-d0", "build_1d-N0", "build_dd-N0", "psi0-n0", "closure-m0", "closure-n0",
+         "closure-eps0", "closure-eps-negative"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_lifted_samples_clamp_rounding_and_reject_certificate_breaks():
+    # f(1) - f(0) = -(1 + 1e-12): the lifted sample at 1 is -1e-12, clamped to 0
+    # with no warning (the spot check's ratio 1 + 1e-12 is within its tolerance)
+    barely = HolderTarget(f=lambda pts: -(1.0 + 1e-12) * pts[:, 0], d=1, alpha=1.0, nu=1.0)
+    c = build_1d(barely, 2)
+    assert evaluate(c.net, 1.0) == pytest.approx(-1.0, abs=1e-12)
+    steep = HolderTarget(f=lambda pts: -2.0 * pts[:, 0], d=1, alpha=1.0, nu=1.0)
+    with pytest.warns(RuntimeWarning, match="ratio 2.000"):
+        with pytest.raises(CertificateError, match=r"lifted sample value -1\.000e\+00"):
+            build_1d(steep, 2)
 
 
 @pytest.mark.parametrize("big_n", [2, 5])
