@@ -5,7 +5,11 @@ first layer, biases at the break points, output weights from secant-slope
 differences), exact piecewise L1 integration used as a test oracle, and two
 ways to recover a CPL view of a 1-D network: black-box probing with slope
 detection, and exact layer-by-layer propagation, whose refinement of every
-unit onto the growing break mesh reproduces ``np.interp`` bit for bit.
+unit onto the growing break mesh reproduces ``np.interp`` bit for bit.  A
+third path measures without a CPL view: ``_sliver_l1`` integrates a
+two-hidden-layer network against a secant on many intervals free of
+first-layer kinks at once, from the second-layer zero crossings; it is
+tested against the exact compile of each interval.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ MIN_BREAK_GAP = 1e-13
 
 # relative slope change between adjacent probe segments that flags a kink
 SLOPE_TOL = 1e-6
+
+# intervals per pass of _sliver_l1: at N = 256 a pass holds a few
+# (2N+1) x SLIVER_BLOCK arrays, under the lemma-2 fit's own working set
+SLIVER_BLOCK = 64
 
 
 def _check_increasing(xs, what):
@@ -333,6 +341,62 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
             breaks = new_breaks
         vals = np.maximum(vals, 0.0)
     return CplFunction(breaks, vals[0])
+
+
+def _sliver_l1(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
+    """Exact ``integral |net - secant|`` on every ``[lo_j, hi_j]``, in one pass.
+
+    ``net`` is a ``[1, a, b, 1]`` network whose first layer has no kink
+    strictly inside any interval, and the secant runs from ``(lo_j, ylo_j)``
+    to ``(hi_j, yhi_j)``.  Each second-layer unit is then linear on an
+    interval, so the network's kinks there are the units' zero crossings.
+    They are sorted per interval; the output slope starts from its value
+    just right of ``lo_j`` and each kink adds ``w3_k |dz_k|``.  Each piece
+    is integrated like :func:`exact_l1_cpl`, as a trapezoid or two
+    triangles.  The cost is one matrix product per layer and a sort, not a
+    compile per interval; intervals go ``SLIVER_BLOCK`` at a time, which
+    bounds the working set.
+    """
+    if net.input_dim != 1 or len(net.layers) != 3:
+        raise ShapeError("_sliver_l1 needs a [1, a, b, 1] network")
+    lo, hi, ylo, yhi = (np.asarray(v, dtype=float) for v in (lo, hi, ylo, yhi))
+    if not np.all(lo < hi):
+        raise ValueError("every interval must satisfy lo < hi")
+    blocks = (slice(s, s + SLIVER_BLOCK) for s in range(0, lo.size, SLIVER_BLOCK))
+    return np.concatenate([_sliver_block(net, lo[b], hi[b], ylo[b], yhi[b]) for b in blocks])
+
+
+def _sliver_block(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
+    """:func:`_sliver_l1` on one block of intervals."""
+    (w1, b1), (w2, b2), (w3, b3) = net.layers
+    w3 = w3[0]
+    k = lo.size
+    z = w1 @ np.concatenate((lo, hi))[None, :] + b1[:, None]
+    if np.any(z[:, :k] * z[:, k:] < 0):
+        raise ShapeError("a first-layer unit changes sign inside an interval")
+    z = w2 @ np.maximum(z, 0.0) + b2[:, None]
+    z0, z1 = z[:, :k], z[:, k:]
+    dz = z1 - z0
+    cross = z0 * z1 < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(cross, z0 / (z0 - z1), 1.0)
+    order = np.argsort(t, axis=0)
+    t = np.take_along_axis(t, order, axis=0)
+    kink = np.take_along_axis(np.where(cross, w3[:, None] * np.abs(dz), 0.0), order, axis=0)
+    # slopes in units of the interval, minus the secant's
+    active = (z0 > 0) | ((z0 == 0) & (z1 > 0))
+    s0 = w3 @ np.where(active, dz, 0.0) - (yhi - ylo)
+    slopes = np.vstack((s0, s0 + np.cumsum(kink, axis=0)))
+    widths = np.diff(np.vstack((np.zeros(k), t, np.ones(k))), axis=0)
+    h_start = w3 @ np.maximum(z0, 0.0) + b3[0] - ylo
+    h = np.vstack((h_start, h_start + np.cumsum(slopes * widths, axis=0)))
+    h0, h1 = h[:-1], h[1:]
+    same = h0 * h1 >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tc = np.where(same, 0.0, h0 / (h0 - h1))
+    area = np.where(same, 0.5 * (np.abs(h0) + np.abs(h1)),
+                    0.5 * (np.abs(h0) * tc + np.abs(h1) * (1.0 - tc)))
+    return np.sum(area * widths, axis=0) * (hi - lo)
 
 
 def cpl_sup(f: CplFunction, a: float, b: float) -> float:

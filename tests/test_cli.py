@@ -66,6 +66,17 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert "construction-infeasible" in err
 
+    def test_infeasible_budget_at_the_default_floor_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x.net"
+        code = run(
+            ["construct", "--target", "cone", "--d", "1", "--alpha", "0.5",
+             "--N", "16", "--delta-target", "1e-30", "--out", out]
+        )
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "construction-infeasible" and record["delta"] == 1e-12
+        assert not out.exists()
+
     def test_infeasible_meta_record(self, tmp_path, capsys):
         out, meta = tmp_path / "x.json", tmp_path / "m.json"
         code = run(["construct", "--alpha", "0.5", "--N", "2", "--out", out, "--meta", meta,

@@ -1,15 +1,20 @@
 """CPL representation, the one-hidden-layer constructor, and exact integration."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluconstruct import (
     CplFunction,
+    DeltaContext,
+    DeltaPolicy,
     ReluNetwork,
     SampleSet,
     ShapeError,
     build_1d,
+    choose_delta,
     cpl_from_net_1d,
     eval_cpl,
     evaluate,
@@ -20,7 +25,7 @@ from reluconstruct import (
     net_to_cpl_exact,
 )
 from reluconstruct import construct
-from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh
+from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh, _sliver_l1
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -276,20 +281,22 @@ class TestNetToCplExact:
             assert_same_cpl(net_to_cpl_exact(net, -2.0, 2.0), per_row_reference(net, -2.0, 2.0),
                             f"trial {trial}, widths {widths}")
 
-    def test_build_1d_sliver_compiles_match_per_row_interp(self, monkeypatch):
-        calls = []
-
-        def recorded(net, a, b):
-            calls.append((net, a, b))
-            return real(net, a, b)
-
-        real = construct.net_to_cpl_exact
-        monkeypatch.setattr(construct, "net_to_cpl_exact", recorded)
+    def test_build_1d_sliver_compiles_match_per_row_interp(self):
         big_n = 64
-        build_1d(holder_family("cone", 1, 0.5, 1.0), big_n)
-        assert len(calls) >= big_n
-        for net, a, b in calls:
-            assert_same_cpl(real(net, a, b), per_row_reference(net, a, b), f"sliver [{a}, {b}]")
+        c = build_1d(holder_family("cone", 1, 0.5, 1.0), big_n)
+        for j in range(1, big_n + 1):
+            a, b = c.grid[j * (big_n + 1) - 1], c.grid[j * (big_n + 1)]
+            assert_same_cpl(net_to_cpl_exact(c.net, a, b), per_row_reference(c.net, a, b),
+                            f"sliver [{a}, {b}]")
+
+    def test_build_1d_measures_its_slivers_without_compiling(self, monkeypatch):
+        calls = []
+        for name in ("net_to_cpl_exact", "exact_l1_cpl"):
+            real = getattr(construct, name)
+            monkeypatch.setattr(construct, name,
+                                lambda *args, _real=real: calls.append(args) or _real(*args))
+        build_1d(holder_family("cone", 1, 0.5, 1.0), 64)
+        assert calls == []
 
 
 def per_row_reference(net, a, b):
@@ -342,3 +349,152 @@ class TestMesh:
         assert same_bits(out, np.vstack([np.interp(x, xp, row) for row in fp]))
         for row in fp[:5]:
             assert same_bits(mesh(row), np.interp(x, xp, row))
+
+
+def lifted_slivers(big_n, alpha):
+    """``delta -> (net, lo, hi, ylo, yhi)``: the lifted network of ``build_1d`` and its slivers."""
+    tgt = holder_family("cone", 1, alpha, 1.0)
+    f0 = float(tgt(np.zeros((1, 1)))[0])
+    n_cap = big_n * big_n
+    build = construct._sliver_fit(lambda xs: construct._shifted_samples(tgt, xs[:, None], f0, 1.0),
+                                  np.arange(1, n_cap) / n_cap, big_n, big_n)
+    sliver = (big_n + 1) * np.arange(1, big_n + 1)
+
+    def slivers(delta):
+        xs, ys, net = build(delta)
+        return net, xs[sliver - 1], xs[sliver], ys[sliver - 1], ys[sliver]
+
+    return slivers
+
+
+def per_sliver_reference(net, lo, hi, ylo, yhi):
+    """One exact compile and one ``exact_l1_cpl`` per sliver."""
+    return np.array([
+        exact_l1_cpl(net_to_cpl_exact(net, a, b), CplFunction([a, b], [ya, yb]), a, b)
+        for a, b, ya, yb in zip(lo, hi, ylo, yhi)
+    ])
+
+
+def fraction_sliver_l1(net, lo, hi, ylo, yhi):
+    """``integral |net - secant|`` per sliver in exact rational arithmetic on the f64 weights.
+
+    Evaluates the network directly at every second-layer zero crossing, so it
+    shares no arithmetic with the slope accumulation of ``_sliver_l1``.
+    """
+    layers = [([list(map(Fraction, row)) for row in w.tolist()], list(map(Fraction, b.tolist())))
+              for w, b in net.layers]
+
+    def affine(layer, h):
+        return [sum((wi * v for wi, v in zip(row, h)), bi) for row, bi in zip(*layer)]
+
+    def relu(h):
+        return [max(v, 0) for v in h]
+
+    def second_layer(x):
+        return affine(layers[1], relu(affine(layers[0], [x])))
+
+    out = []
+    for a, b, ya, yb in zip(*(map(Fraction, v.tolist()) for v in (lo, hi, ylo, yhi))):
+        z0, z1 = second_layer(a), second_layer(b)
+        knots = sorted({a, b} | {a + (b - a) * u / (u - v) for u, v in zip(z0, z1) if u * v < 0})
+        h = [affine(layers[2], relu(second_layer(x)))[0] - ya - (yb - ya) * (x - a) / (b - a)
+             for x in knots]
+        total = Fraction(0)
+        for p, q, hp, hq in zip(knots, knots[1:], h, h[1:]):
+            if hp * hq >= 0:
+                total += (abs(hp) + abs(hq)) / 2 * (q - p)
+            else:
+                total += (hp * hp + hq * hq) / (2 * (abs(hp) + abs(hq))) * (q - p)
+        out.append(float(total))
+    return np.array(out)
+
+
+class TestSliverL1:
+    """The batched sliver measurement of ``build_1d`` against the per-sliver exact compile."""
+
+    # 128 slivers take two blocks of SLIVER_BLOCK
+    @pytest.mark.parametrize("big_n", [2, 8, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_matches_the_per_sliver_compile(self, big_n, alpha):
+        args = lifted_slivers(big_n, alpha)(0.25 / big_n**2)
+        np.testing.assert_allclose(_sliver_l1(*args), per_sliver_reference(*args),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("big_n", [2, 4, 8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_matches_exact_rational_integrals(self, big_n, alpha):
+        slivers = lifted_slivers(big_n, alpha)
+        for delta in (0.25 / big_n**2, 1e-7, 1e-10):
+            args = slivers(delta)
+            exact = fraction_sliver_l1(*args)
+            np.testing.assert_allclose(_sliver_l1(*args), exact, rtol=1e-3, atol=1e-16,
+                                       err_msg=f"delta {delta}")
+
+    @pytest.mark.parametrize("big_n", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("target", [None, 1e-12])
+    def test_build_1d_picks_the_delta_of_the_per_sliver_search(self, big_n, alpha, target):
+        slivers = lifted_slivers(big_n, alpha)
+
+        def h0(delta):
+            net, lo, hi, ylo, yhi = slivers(delta)
+            total = 0.0
+            for w, err in zip(hi - lo, per_sliver_reference(net, lo, hi, ylo, yhi)):
+                total += 2.0 * w ** alpha * w + err
+            return total
+
+        policy = DeltaPolicy(target=target)
+        ctx = DeltaContext(min_gap=1.0 / big_n**2, budget=float(big_n) ** (-2.0 * alpha),
+                           h_error=h0)
+        c = build_1d(holder_family("cone", 1, alpha, 1.0), big_n, policy)
+        assert c.delta.delta == choose_delta(policy, ctx).delta
+
+    def test_matches_the_per_interval_compile_on_random_networks(self):
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            a, b = rng.integers(1, 9), rng.integers(1, 13)
+            # unit slopes put each kink exactly where its unit's value is 0.0
+            w1 = rng.choice([-1.0, 1.0], (a, 1))
+            b1 = rng.uniform(-1.0, 1.0, a)
+            net = ReluNetwork(1, ((w1, b1), (rng.standard_normal((b, a)), rng.standard_normal(b)),
+                                  (rng.standard_normal((1, b)), rng.standard_normal(1))))
+            # the intervals between consecutive first-layer kinks, and both tails
+            ends = np.unique(np.concatenate(([-2.0, 2.0], -b1 * w1[:, 0])))
+            lo, hi = ends[:-1], ends[1:]
+            ylo, yhi = rng.standard_normal((2, lo.size))
+            np.testing.assert_allclose(_sliver_l1(net, lo, hi, ylo, yhi),
+                                       per_sliver_reference(net, lo, hi, ylo, yhi),
+                                       rtol=1e-9, atol=1e-12, err_msg=f"trial {trial}")
+
+    def test_unit_leaving_zero_at_the_left_end_is_active(self):
+        # relu(x - 1/4) + relu(1/10 - (x - 1/4)) on [1/4, 1/2]: the first unit is
+        # exactly 0 at the left end, the second crosses zero at 0.35
+        net = ReluNetwork(1, ((np.ones((1, 1)), np.array([-0.25])),
+                              (np.array([[1.0], [-1.0]]), np.array([0.0, 0.1])),
+                              (np.ones((1, 2)), np.zeros(1))))
+        got = _sliver_l1(net, [0.25], [0.5], [0.0], [0.0])
+        assert got[0] == pytest.approx(0.1 * 0.1 + (0.25**2 - 0.1**2) / 2, rel=1e-12)
+
+    def test_rejects_a_first_layer_kink_inside_an_interval(self):
+        rng = np.random.default_rng(53)
+        w1 = np.ones((6, 1))
+        kinks = np.sort(rng.uniform(0.1, 0.9, 6))
+        net = ReluNetwork(1, ((w1, -kinks), (rng.standard_normal((7, 6)), rng.standard_normal(7)),
+                              (rng.standard_normal((1, 7)), rng.standard_normal(1))))
+        ys = np.zeros(2)
+        # kink-free intervals pass; one straddling kink 3 fails
+        _sliver_l1(net, kinks[[0, 4]], kinks[[1, 5]], ys, ys)
+        lo, hi = kinks[[0, 3]], kinks[[1, 4]]
+        lo[1] -= 1e-3
+        with pytest.raises(ShapeError, match="inside an interval"):
+            _sliver_l1(net, lo, hi, ys, ys)
+
+    @pytest.mark.parametrize("widths", [[3, 1], [3, 4, 5, 1]])
+    def test_rejects_other_shapes(self, widths):
+        rng = np.random.default_rng(59)
+        layers, prev = [], 1
+        for width in widths:
+            layers.append((rng.standard_normal((width, prev)), rng.standard_normal(width)))
+            prev = width
+        with pytest.raises(ShapeError, match=r"\[1, a, b, 1\]"):
+            _sliver_l1(ReluNetwork(1, tuple(layers)), [0.0], [1.0], [0.0], [0.0])

@@ -247,6 +247,15 @@ class TestChooseDelta:
         assert tried[0] == 0.25 and tried[-1] == 1e-12
         assert all(b == max(a / 2, 1e-12) for a, b in zip(tried, tried[1:]))
 
+    @pytest.mark.parametrize("big_n", [8, 16, 32])
+    def test_unreachable_budget_reaches_the_floor(self, big_n):
+        # at N >= 16 the floor's first sliver holds crossings closer than
+        # MIN_BREAK_GAP, which a per-sliver compile merged into one break
+        with pytest.raises(ConstructionInfeasibleError) as exc:
+            build_1d(holder_family("cone", 1, 0.5, 1.0), big_n, DeltaPolicy(target=1e-30))
+        assert exc.value.delta == 1e-12
+        assert exc.value.achieved > 1e-30
+
 
 def reference_closure_grid(interior, m, n, delta):
     """The closure grid as a slot state machine: the layout ``_closure_grid`` replaced."""
@@ -413,6 +422,14 @@ def takagi(levels):
         return np.sum(np.abs(t - np.round(t)) / 2.0 ** np.arange(levels), axis=1)
 
     return f
+
+
+@pytest.mark.parametrize("field, value", [("alpha", 3.0), ("nu", 0.1), ("d", 2)])
+def test_target_certificate_cannot_be_reassigned(field, value):
+    tgt = holder_family("cone", 1, 0.5, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(tgt, field, value)
+    assert (tgt.d, tgt.alpha, tgt.nu) == (1, 0.5, 1.0)
 
 
 def test_certificate_spot_check_warns():
