@@ -159,7 +159,7 @@ def cmd_construct(args) -> int:
         "delta_clamped": c.delta.clamped,
         "bound": c.bound,
         "measured_l1": measured,
-        "grid": {"rule": grid.rule, "points_per_axis": grid.points_per_axis},
+        "grid": {"rule": "midpoint", "points_per_axis": grid.points_per_axis},
     }
     _write_json(meta_path, sidecar)
     print(f"wrote {args.out} (widthvec {_widthvec_str(c.net.hidden_widths)}, "

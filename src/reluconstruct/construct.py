@@ -97,10 +97,8 @@ class Lemma2Plan:
     @property
     def break_indices(self) -> np.ndarray:
         """Sorted union {0} + {j(n+1) - 1, j(n+1) : j = 1..m}; always 2m+1 indices."""
-        idx = [0]
-        for j in range(1, self.m + 1):
-            idx.extend((j * (self.n + 1) - 1, j * (self.n + 1)))
-        return np.asarray(idx)
+        i = np.arange(2 * self.m + 1)
+        return (i + 1) // 2 * (self.n + 1) - i % 2
 
 
 @dataclass
@@ -174,12 +172,11 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
         trace.residuals.append(f.copy())
 
     mesh = _Mesh(xs, bx)
-    rows = []
-    # stage 0: fit the sample CPL at the break points
-    g0_break = f[bidx].copy()
-    rows.append(_fit_one_layer_row(bx, g0_break))
-    g0_grid = np.maximum(mesh(g0_break), 0.0)
-    f = f - g0_grid
+    # break-point values of the 2n+1 second-layer units: row 0 fits the
+    # sample CPL (stage 0), rows 2k-1 and 2k the plus and minus pieces of stage k
+    g_break = np.zeros((2 * n + 1, 2 * m + 1))
+    g_break[0] = f[bidx]
+    f = f - np.maximum(mesh(g_break[0]), 0.0)
     if residuals:
         trace.residuals.append(f.copy())
 
@@ -197,24 +194,18 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
         xa = xs[block_start + k - 1]
         slope = np.abs(vals) / (xs[block_start + k] - xa)
         ends = slope[:, None] * (block_ends - xa[:, None])
-        # rows: the plus piece, then the minus piece
-        g_break = np.zeros((2, 2 * m + 1))
-        g_break[0, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
-        g_break[1, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
-        rows.append(_fit_one_layer_row(bx, g_break[0]))
-        rows.append(_fit_one_layer_row(bx, g_break[1]))
+        g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
+        g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
 
-        gp_grid, gm_grid = np.maximum(mesh(g_break), 0.0)
+        gp_grid, gm_grid = np.maximum(mesh(g_break[2 * k - 1:2 * k + 1]), 0.0)
         f = f - gp_grid + gm_grid
         if residuals:
             trace.residuals.append(f.copy())
 
-    w2 = np.vstack([w for w, _ in rows])
-    b2 = np.array([b for _, b in rows])
     w3 = np.ones((1, 2 * n + 1))
     w3[0, 2::2] = -1.0
     b3 = np.zeros(1)
-    net = ReluNetwork(1, ((w1, b1), (w2, b2), (w3, b3)))
+    net = ReluNetwork(1, ((w1, b1), _fit_one_layer_row(bx, g_break), (w3, b3)))
     return net, trace
 
 
@@ -243,6 +234,8 @@ class DeltaPolicy:
             raise ValueError(f"unknown delta mode: {self.mode!r}")
         if not MIN_BREAK_GAP < self.floor < math.inf:
             raise ValueError(f"floor must lie in ({MIN_BREAK_GAP:g}, inf), got {self.floor!r}")
+        if self.target is not None and not 0 < self.target < math.inf:
+            raise ValueError(f"target must be None or lie in (0, inf), got {self.target!r}")
 
 
 @dataclass

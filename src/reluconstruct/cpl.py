@@ -36,8 +36,10 @@ __all__ = [
     "cpl_from_json",
 ]
 
-# Break points closer than this are rejected rather than merged: silent
-# merging would hide upstream don't-care-width bugs.
+# CplFunction and SampleSet reject break points this close.  A compile or a
+# merge that produces closer ones on [a, b] thins them with _thin_breaks at
+# this gap times max(1, |a|, |b|): both ends stay, and an interior point stays
+# only when it lies more than the gap beyond the last point kept and before b.
 MIN_BREAK_GAP = 1e-13
 
 # relative slope change between adjacent probe segments that flags a kink
@@ -152,11 +154,12 @@ def _fit_one_layer_row(xs: np.ndarray, ys: np.ndarray):
     With hidden units ``relu(x - xs[j])`` for ``j < len(xs)-1``, the function
     ``bias + sum_j a_j relu(x - xs[j])`` passes through every node and is
     linear on every segment when ``a_0`` is the first secant slope and each
-    later ``a_j`` is the slope difference across node ``j``.
+    later ``a_j`` is the slope difference across node ``j``.  Works along
+    the last axis of ``ys``: each row of values gets its own weights and bias.
     """
-    slopes = np.diff(ys) / np.diff(xs)
-    weights = np.concatenate(([slopes[0]], np.diff(slopes)))
-    return weights, float(ys[0])
+    slopes = np.diff(ys, axis=-1) / np.diff(xs)
+    weights = np.concatenate((slopes[..., :1], np.diff(slopes, axis=-1)), axis=-1)
+    return weights, ys[..., 0]
 
 
 def lemma1_interpolant(samples: SampleSet) -> ReluNetwork:
@@ -170,17 +173,36 @@ def lemma1_interpolant(samples: SampleSet) -> ReluNetwork:
     n_hidden = xs.size - 1
     w1 = np.ones((n_hidden, 1))
     b1 = -xs[:-1]
-    weights, bias = _fit_one_layer_row(xs, ys)
-    return ReluNetwork(1, ((w1, b1), (weights[None, :], np.array([bias]))))
+    return ReluNetwork(1, ((w1, b1), _fit_one_layer_row(xs, ys[None, :])))
+
+
+def _thin_breaks(pts: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``pts`` from ``a = pts[0]`` to ``b = pts[-1]``, thinned.
+
+    Keeps ``a`` and ``b``.  An interior point is kept when it lies more than
+    the gap ``MIN_BREAK_GAP * max(1, |a|, |b|)`` beyond the last kept point
+    and more than the gap before ``b``.  So no two kept points are within the
+    gap, and every dropped one is within the gap of a kept one.
+    """
+    a, b = pts[0], pts[-1]
+    gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
+    keep = np.concatenate(([True], np.diff(pts) > gap))
+    # a point farther than the gap from its predecessor is kept whatever
+    # happened before it; only the points of a close run need the walk
+    last = a
+    for i in np.flatnonzero(~keep):
+        if keep[i - 1]:
+            last = pts[i - 1]
+        if pts[i] - last > gap:
+            keep[i], last = True, pts[i]
+    keep &= b - pts > gap
+    keep[[0, -1]] = True
+    return pts[keep]
 
 
 def _merged_breaks(f: CplFunction, g: CplFunction, a: float, b: float):
-    pts = np.concatenate(([a, b], f.breaks, g.breaks))
-    pts = np.unique(pts)
-    pts = pts[(pts >= a) & (pts <= b)]
-    # collapse numerically coincident points produced by the merge
-    keep = np.concatenate(([True], np.diff(pts) > MIN_BREAK_GAP * max(1.0, abs(a), abs(b))))
-    return pts[keep]
+    pts = np.unique(np.concatenate(([a, b], f.breaks, g.breaks)))
+    return _thin_breaks(pts[(pts >= a) & (pts <= b)])
 
 
 def exact_l1_cpl(f: CplFunction, g: CplFunction, a: float, b: float) -> float:
@@ -333,10 +355,7 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
             x0, x1 = breaks[s], breaks[s + 1]
             t = v0[u, s] / (v0[u, s] - v1[u, s])
             crossings = x0 + t * (x1 - x0)
-            new_breaks = np.unique(np.concatenate((breaks, crossings)))
-            gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
-            keep = np.concatenate(([True], np.diff(new_breaks) > gap))
-            new_breaks = new_breaks[keep]
+            new_breaks = _thin_breaks(np.unique(np.concatenate((breaks, crossings))))
             vals = _Mesh(new_breaks, breaks)(vals)
             breaks = new_breaks
         vals = np.maximum(vals, 0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,10 @@ _PAD = 1e-9
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor quadrature grid over [0, 1]^d of at most ``GRID_POINT_CAP`` points."""
+    """Midpoint grid over [0, 1]^d of at most ``GRID_POINT_CAP`` points."""
 
     d: int
     points_per_axis: int
-    rule: str = "midpoint"
 
     def __post_init__(self):
         for name in ("d", "points_per_axis"):
@@ -54,8 +54,6 @@ class GridSpec:
             raise ShapeError("d must be a positive integer")
         if self.points_per_axis < 2:
             raise ShapeError("points_per_axis must be at least 2")
-        if self.rule not in ("midpoint", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule: {self.rule!r}")
         if self.total_points > GRID_POINT_CAP:
             raise ResourceError(
                 f"{self.total_points} grid points exceed the cap of {GRID_POINT_CAP}"
@@ -77,19 +75,6 @@ def default_grid(d: int) -> GridSpec:
     raise ShapeError("default grids cover d in {1, 2, 3}")
 
 
-def _axis_points(grid: GridSpec):
-    p = grid.points_per_axis
-    if grid.rule == "midpoint":
-        pts = (np.arange(p) + 0.5) / p
-        wts = np.full(p, 1.0 / p)
-    else:
-        pts = np.arange(p) / (p - 1)
-        wts = np.full(p, 1.0 / (p - 1))
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-    return pts, wts
-
-
 def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarray:
     """``v[(q // stride) % len(v)]`` for ``q = start, ..., stop - 1``.
 
@@ -106,14 +91,13 @@ def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarra
     return (np.repeat(run, stride) if stride > 1 else run)[skip:skip + stop - start]
 
 
-def _chunks(grid: GridSpec, pts: np.ndarray, wts: np.ndarray, tables=()):
-    """Yield (points (k, d), weights (k,), table sum (k,) or None) in C order.
+def _chunks(grid: GridSpec, pts: np.ndarray, tables=()):
+    """Yield (points (k, d), table sum (k,) or None) in C order.
 
-    ``pts, wts`` are the grid's ``_axis_points`` and ``tables`` holds one
-    length-p array per axis.  Axis ``a`` of flat position ``q`` is
+    ``pts`` are the grid's axis points and ``tables`` holds one length-p
+    array per axis.  Axis ``a`` of flat position ``q`` is
     ``(q // p**(d-1-a)) % p``, so each per-axis array is laid out with
-    ``_repeat_axis``.  Weights multiply from the last axis down and tables
-    add from the first axis up.
+    ``_repeat_axis``.  Tables add from the first axis up.
     """
     p, d = grid.points_per_axis, grid.d
     strides = [p ** (d - 1 - a) for a in range(d)]
@@ -123,11 +107,8 @@ def _chunks(grid: GridSpec, pts: np.ndarray, wts: np.ndarray, tables=()):
         def lay(v, a):
             return _repeat_axis(v, strides[a], start, stop)
 
-        weights = lay(wts, d - 1)
-        for axis in range(d - 2, -1, -1):
-            weights = weights * lay(wts, axis)
         z = sum(lay(t, a) for a, t in enumerate(tables)) if tables else None
-        yield np.stack([lay(pts, a) for a in range(d)], axis=1), weights, z
+        yield np.stack([lay(pts, a) for a in range(d)], axis=1), z
 
 
 def _compile(net: ReluNetwork, pts: np.ndarray):
@@ -168,39 +149,42 @@ def _compile(net: ReluNetwork, pts: np.ndarray):
 
 
 def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
-    """Yield ``(|f - net|, weights)`` per chunk of ``_chunks``, in its order.
+    """Yield ``|f - net|`` per chunk of ``_chunks``, in its order.
 
     The network is compiled once (see ``_compile``); one without a compiled
     form is evaluated densely.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    pts, wts = _axis_points(grid)
+    p = grid.points_per_axis
+    pts = (np.arange(p) + 0.5) / p
     tables, outer = _compile(net, pts) or ((), None)
-    for coords, weights, z in _chunks(grid, pts, wts, tables):
+    for coords, z in _chunks(grid, pts, tables):
         fv = np.asarray(f(coords), dtype=float)
         if fv.shape != (coords.shape[0],):
             raise ShapeError("target must map (k, d) points to (k,) values")
         nv = (evaluate_batch(net, coords) if outer is None
               else np.interp(z, outer.breaks, outer.values))
-        yield np.abs(fv - nv), weights
+        yield np.abs(fv - nv)
 
 
 def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     """``(L1, Linf)`` of ``f - net`` on the grid from one pass over its points.
 
-    L1 is the composite quadrature estimate of ``integral |f - net|`` over the
-    cube; Linf is the max over the grid points, a lower bound on the true sup.
+    L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
+    point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
+    the grid points, a lower bound on the true sup.
     """
+    weight = math.prod([1.0 / grid.points_per_axis] * grid.d)
     total, worst = 0.0, 0.0
-    for err, weights in _abs_errors(f, net, grid):
-        total += float(np.sum(err * weights))
+    for err in _abs_errors(f, net, grid):
+        total += float(np.sum(err * weight))
         worst = max(worst, float(np.max(err)))
     return total, worst
 
 
 def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:
-    """Composite quadrature estimate of ``integral |f - net|`` over the cube."""
+    """Midpoint estimate of ``integral |f - net|`` over the cube."""
     return grid_errors(f, net, grid)[0]
 
 

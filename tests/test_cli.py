@@ -38,6 +38,15 @@ class TestConstruct:
         assert meta["config"]["seed"] == 0
         assert meta["version"]
 
+    @pytest.mark.parametrize("grid_points", [None, 50000])
+    def test_sidecar_records_the_grid(self, tmp_path, grid_points):
+        out = tmp_path / "net.json"
+        flags = [] if grid_points is None else ["--grid-points", grid_points]
+        assert run(["construct", "--N", "4", "--out", out, *flags]) == 0
+        meta = json.loads((tmp_path / "net.json.meta.json").read_text())
+        p = metrics.default_grid(1).points_per_axis if grid_points is None else grid_points
+        assert meta["grid"] == {"rule": "midpoint", "points_per_axis": p}
+
     def test_zero_target_d2(self, tmp_path):
         out = tmp_path / "zero.json"
         code = run(
@@ -364,6 +373,19 @@ class TestUsageErrors:
                           "--delta-floor", "1e-40"])
         assert code == 2
         assert "floor" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["empirical-shrink", "paper-sufficient"])
+    @pytest.mark.parametrize("target", ["nan", "-1", "0", "inf"])
+    def test_delta_target_not_positive_and_finite(self, tmp_path, capsys, monkeypatch, mode,
+                                                  target):
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        code = exit_code(["construct", "--N", "8", "--out", tmp_path / "x.json",
+                          "--delta-mode", mode, "--delta-target", target])
+        assert code == 2
+        assert "target must be None or lie in (0, inf)" in capsys.readouterr().err
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 

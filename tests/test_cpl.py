@@ -25,7 +25,7 @@ from reluconstruct import (
     net_to_cpl_exact,
 )
 from reluconstruct import construct
-from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh, _sliver_l1
+from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh, _merged_breaks, _sliver_l1, _thin_breaks
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -299,6 +299,55 @@ class TestNetToCplExact:
         assert calls == []
 
 
+class TestThinBreaks:
+    """Close break points give way to a kept one, and never to the interval's ends."""
+
+    @pytest.mark.parametrize("big_n", [16, 32])
+    def test_floor_width_sliver_keeps_its_ends(self, big_n):
+        # 15 (N = 16) or 32 (N = 32) second-layer crossings, gaps up to 7.5e-14
+        net, lo, hi, _, _ = lifted_slivers(big_n, 0.5)(1e-12)
+        f = net_to_cpl_exact(net, lo[0], hi[0])
+        assert f.breaks[0] == lo[0] and f.breaks[-1] == hi[0]
+
+    @pytest.mark.parametrize("big_n", [8, 256])
+    def test_whole_interval_compile_ends_at_one(self, big_n):
+        c = build_1d(holder_family("cone", 1, 0.5, 1.0), big_n)
+        f = net_to_cpl_exact(c.net, 0.0, 1.0)
+        assert f.breaks[0] == 0.0 and f.breaks[-1] == 1.0
+
+    def test_merge_keeps_the_right_end(self):
+        f = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+        g = CplFunction([0.0, 0.25, 1.0], [1.0, 0.0, 1.0])
+        # a break within the gap of b gives way to b
+        assert _merged_breaks(f, g, 0.0, 0.5 + 5e-14).tolist() == [0.0, 0.25, 0.5 + 5e-14]
+        assert _merged_breaks(f, g, 0.0, 0.25 + 5e-14).tolist() == [0.0, 0.25 + 5e-14]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_kept_points_are_apart_and_cover_the_dropped(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        # runs of points closer than the gap, some ending at the right end
+        steps = np.where(rng.random(400) < 0.7, rng.uniform(0.1, 1.0, 400),
+                         rng.uniform(1.0, 3.0, 400)) * MIN_BREAK_GAP * scale
+        pts = np.unique(scale - np.concatenate(([0.0], np.cumsum(steps))))
+        if seed % 2:
+            pts[-1] = pts[-2] + 0.5 * MIN_BREAK_GAP * scale
+        gap = MIN_BREAK_GAP * max(1.0, abs(pts[0]), abs(pts[-1]))
+        kept = _thin_breaks(pts)
+        assert kept[0] == pts[0] and kept[-1] == pts[-1]
+        assert np.diff(kept).min() > gap
+        dropped = np.setdiff1d(pts, kept)
+        assert dropped.size > 0
+        nearest = np.abs(dropped[:, None] - kept[None, :]).min(axis=1)
+        assert np.all(nearest <= gap)
+        # the walk: each interior point against the last kept one and the right end
+        want = [pts[0]]
+        for x in pts[1:-1]:
+            if x - want[-1] > gap and pts[-1] - x > gap:
+                want.append(x)
+        assert kept.tolist() == want + [pts[-1]]
+
+
 def per_row_reference(net, a, b):
     """``net_to_cpl_exact`` with one ``np.interp`` call per unit row: the bit-level reference."""
     breaks = np.array([float(a), float(b)])
@@ -312,9 +361,7 @@ def per_row_reference(net, a, b):
         if u.size:
             x0, x1 = breaks[s], breaks[s + 1]
             t = v0[u, s] / (v0[u, s] - v1[u, s])
-            new_breaks = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
-            gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b))
-            new_breaks = new_breaks[np.concatenate(([True], np.diff(new_breaks) > gap))]
+            new_breaks = _thin_breaks(np.unique(np.concatenate((breaks, x0 + t * (x1 - x0)))))
             vals = np.vstack([np.interp(new_breaks, breaks, row) for row in vals])
             breaks = new_breaks
         vals = np.maximum(vals, 0.0)

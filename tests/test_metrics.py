@@ -1,5 +1,7 @@
 """Quadrature error measurement, target families, and rate fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,10 +54,6 @@ class TestGridSpec:
         assert default_grid(2).points_per_axis == 2048
         assert default_grid(3).points_per_axis == 256
 
-    def test_rule_names(self):
-        with pytest.raises(ValueError):
-            GridSpec(1, 100, rule="simpson")
-
     @pytest.mark.parametrize("d,p", [(1, 1000.0), (1.0, 100), (True, 100), (2, True),
                                      (1, np.float64(100)), (1, "100")])
     def test_non_integral_sizes_rejected(self, d, p):
@@ -90,12 +88,6 @@ class TestL1Error:
         approx = l1_error(lambda pts: np.interp(pts[:, 0], xs, ys), net, GridSpec(1, 200000))
         exact = exact_l1_cpl(cpl, net_to_cpl_exact(net, 0.0, 1.0), 0.0, 1.0)
         assert approx == pytest.approx(exact, abs=1e-4)
-
-    def test_trapezoid_rule(self):
-        f = lambda pts: pts[:, 0]
-        assert l1_error(f, zero_net(), GridSpec(1, 10**5, rule="trapezoid")) == pytest.approx(
-            0.5, abs=1e-9
-        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -139,15 +131,25 @@ class TestLinfError:
 # agreement of the compiled quadrature with dense evaluation, the same
 # tolerance bench/workloads.py admits for a fast path
 ATOL, RTOL = 1e-11, 1e-9
-RULES = ("midpoint", "trapezoid")
+# the library's one quadrature; the test ids below name it
+MIDPOINT = pytest.mark.parametrize("quadrature", ["midpoint"])
+
+
+def midpoints(grid):
+    p = grid.points_per_axis
+    return (np.arange(p) + 0.5) / p
+
+
+def point_weight(grid):
+    return math.prod([1.0 / grid.points_per_axis] * grid.d)
 
 
 def dense_reference(f, net, grid):
     """(L1, Linf) from plain ``evaluate_batch`` over the same chunks."""
     total, worst = 0.0, 0.0
-    for coords, weights, _ in metrics._chunks(grid, *metrics._axis_points(grid)):
+    for coords, _ in metrics._chunks(grid, midpoints(grid)):
         err = np.abs(f(coords) - evaluate_batch(net, coords))
-        total += float(np.sum(err * weights))
+        total += float(np.sum(err * point_weight(grid)))
         worst = max(worst, float(np.max(err)))
     return total, worst
 
@@ -188,19 +190,19 @@ def count_dense_calls(monkeypatch):
 
 
 class TestCompiledQuadrature:
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_random_1d_networks(self, depth, rule):
+    def test_random_1d_networks(self, depth, quadrature):
         rng = np.random.default_rng(40 + depth)
         for _ in range(5):
             net = random_net(rng, 1, depth)
-            assert_agrees(lambda pts: np.sin(5 * pts[:, 0]), net, GridSpec(1, 20001, rule))
+            assert_agrees(lambda pts: np.sin(5 * pts[:, 0]), net, GridSpec(1, 20001))
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_lemma_interpolants(self, rule):
+    @MIDPOINT
+    def test_lemma_interpolants(self, quadrature):
         rng = np.random.default_rng(12)
         f = tilted(1)
-        grid = GridSpec(1, 50001, rule)
+        grid = GridSpec(1, 50001)
         xs = np.linspace(0.0, 1.0, 9)
         assert_agrees(f, lemma1_interpolant(SampleSet(xs, rng.uniform(-1, 1, 9))), grid)
         for m, n in ((1, 1), (2, 3), (4, 4)):
@@ -208,21 +210,21 @@ class TestCompiledQuadrature:
             plan = Lemma2Plan(m, n, SampleSet(xs, rng.uniform(0, 2, xs.size), m, n))
             assert_agrees(f, lemma2_interpolant(plan)[0], grid)
 
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("big_n", [2, 3, 5, 8, 16, 32, 64])
-    def test_build_1d(self, big_n, rule):
-        assert_agrees(tilted(1), build_1d(cone(1), big_n).net, GridSpec(1, 100001, rule))
+    def test_build_1d(self, big_n, quadrature):
+        assert_agrees(tilted(1), build_1d(cone(1), big_n).net, GridSpec(1, 100001))
 
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("d,big_n,p", [(2, 4, 256), (2, 9, 256), (2, 16, 256),
                                            (3, 8, 40), (3, 27, 40)])
-    def test_build_dd(self, d, big_n, p, rule):
-        assert_agrees(tilted(d), build_dd(cone(d), big_n).net, GridSpec(d, p, rule))
+    def test_build_dd(self, d, big_n, p, quadrature):
+        assert_agrees(tilted(d), build_dd(cone(d), big_n).net, GridSpec(d, p))
 
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("d", [2, 3])
-    def test_psi_projection(self, d, rule):
-        assert_agrees(tilted(d), psi_projection(4, d, 0.01), GridSpec(d, 64, rule))
+    def test_psi_projection(self, d, quadrature):
+        assert_agrees(tilted(d), psi_projection(4, d, 0.01), GridSpec(d, 64))
 
     def test_compiled_paths_skip_dense_evaluation(self, monkeypatch):
         calls = count_dense_calls(monkeypatch)
@@ -260,10 +262,10 @@ class TestCompiledQuadrature:
 def two_pass_reference(f, net, grid):
     """(L1, Linf) from one ``_abs_errors`` pass each, the same reductions."""
     total = 0.0
-    for err, weights in metrics._abs_errors(f, net, grid):
-        total += float(np.sum(err * weights))
+    for err in metrics._abs_errors(f, net, grid):
+        total += float(np.sum(err * point_weight(grid)))
     worst = 0.0
-    for err, _ in metrics._abs_errors(f, net, grid):
+    for err in metrics._abs_errors(f, net, grid):
         worst = max(worst, float(np.max(err)))
     return total, worst
 
@@ -271,35 +273,37 @@ def two_pass_reference(f, net, grid):
 class TestGridErrors:
     """One pass gives both errors, equal to two passes to the last bit."""
 
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("case", ["1d-compiled", "dd-compiled", "dense"])
-    def test_equals_two_passes(self, case, rule, monkeypatch):
+    def test_equals_two_passes(self, case, quadrature, monkeypatch):
         calls = count_dense_calls(monkeypatch)
         if case == "1d-compiled":
-            net, grid = build_1d(cone(1), 16).net, GridSpec(1, 100001, rule)
+            net, grid = build_1d(cone(1), 16).net, GridSpec(1, 100001)
         elif case == "dd-compiled":
-            net, grid = build_dd(cone(2), 9).net, GridSpec(2, 256, rule)
+            net, grid = build_dd(cone(2), 9).net, GridSpec(2, 256)
         else:
-            net, grid = random_net(np.random.default_rng(7), 2, 2), GridSpec(2, 128, rule)
+            net, grid = random_net(np.random.default_rng(7), 2, 2), GridSpec(2, 128)
         f = tilted(grid.d)
         both = grid_errors(f, net, grid)
         assert both == two_pass_reference(f, net, grid)
         assert both == (l1_error(f, net, grid), linf_error(f, net, grid))
         assert (len(calls) > 0) == (case == "dense")
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_several_chunks(self, rule):
-        grid = GridSpec(1, 3 * 2**18 + 7, rule)
-        assert sum(1 for _ in metrics._chunks(grid, *metrics._axis_points(grid))) == 4
+    @MIDPOINT
+    def test_several_chunks(self, quadrature):
+        grid = GridSpec(1, 3 * 2**18 + 7)
+        assert sum(1 for _ in metrics._chunks(grid, midpoints(grid))) == 4
         f, net = tilted(1), build_1d(cone(1), 8).net
         assert grid_errors(f, net, grid) == two_pass_reference(f, net, grid)
 
 
 def reference_chunks(grid):
     """The per-point layout: each flat index split into axis indices by
-    ``%`` and ``//``, then gathered."""
-    pts, wts = metrics._axis_points(grid)
+    ``%`` and ``//``, then gathered; each point's weight is the product of
+    its axis weights ``1 / p``, from the last axis down."""
+    pts = midpoints(grid)
     p, d = grid.points_per_axis, grid.d
+    wts = np.full(p, 1.0 / p)
     total = grid.total_points
     for start in range(0, total, metrics._CHUNK):
         rest = np.arange(start, min(start + metrics._CHUNK, total))
@@ -314,7 +318,7 @@ def reference_chunks(grid):
 
 def reference_errors(f, net, grid):
     """(L1, Linf) over ``reference_chunks``, compiled or dense as in ``_abs_errors``."""
-    compiled = metrics._compile(net, metrics._axis_points(grid)[0])
+    compiled = metrics._compile(net, midpoints(grid))
     total, worst = 0.0, 0.0
     for coords, weights, axes in reference_chunks(grid):
         if compiled is None:
@@ -335,33 +339,33 @@ LAYOUT_GRIDS = [(2, 600), (3, 70), (4, 25), (1, 2**18 + 5)]
 
 
 class TestChunkLayout:
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("d,p", LAYOUT_GRIDS)
-    def test_matches_per_point_reference(self, d, p, rule):
-        grid = GridSpec(d, p, rule)
+    def test_matches_per_point_reference(self, d, p, quadrature):
+        grid = GridSpec(d, p)
         assert metrics._CHUNK % p != 0
         rng = np.random.default_rng(p)
         tables = [rng.normal(size=p) for _ in range(d)]
-        pts, wts = metrics._axis_points(grid)
-        got = list(metrics._chunks(grid, pts, wts, tables))
+        pts = midpoints(grid)
+        got = list(metrics._chunks(grid, pts, tables))
         want = list(reference_chunks(grid))
         assert len(got) == len(want) >= 2
-        for (coords, weights, z), (ref_coords, ref_weights, axes) in zip(got, want):
+        for (coords, z), (ref_coords, ref_weights, axes) in zip(got, want):
             assert np.array_equal(coords, ref_coords)
-            assert np.array_equal(weights, ref_weights)
+            assert np.all(ref_weights == point_weight(grid))
             assert np.array_equal(z, sum(t[j] for t, j in zip(tables, axes.T)))
-        assert all(z is None for _, _, z in metrics._chunks(grid, pts, wts))
+        assert all(z is None for _, z in metrics._chunks(grid, pts))
 
-    @pytest.mark.parametrize("rule", RULES)
+    @MIDPOINT
     @pytest.mark.parametrize("case", ["compiled", "dense"])
     @pytest.mark.parametrize("d,p", LAYOUT_GRIDS[:2])
-    def test_errors_match_per_point_reference(self, d, p, case, rule, monkeypatch):
+    def test_errors_match_per_point_reference(self, d, p, case, quadrature, monkeypatch):
         calls = count_dense_calls(monkeypatch)
         if case == "compiled":
             net = build_dd(cone(d), 9 if d == 2 else 8).net
         else:
             net = random_net(np.random.default_rng(d), d, 2)
-        grid, f = GridSpec(d, p, rule), tilted(d)
+        grid, f = GridSpec(d, p), tilted(d)
         assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
         assert (len(calls) > 0) == (case == "dense")
 
@@ -370,8 +374,7 @@ class TestConeTarget:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bit_identical_to_norm(self, d):
         rng = np.random.default_rng(d)
-        grid_points = [c for rule in RULES
-                       for c, _, _ in reference_chunks(GridSpec(d, {1: 999, 2: 61, 3: 17}[d], rule))]
+        grid_points = [c for c, _, _ in reference_chunks(GridSpec(d, {1: 999, 2: 61, 3: 17}[d]))]
         for alpha, nu in ((0.3, 1.0), (0.5, 2.5), (1.0, 0.7)):
             t = holder_family("cone", d, alpha, nu)
             for points in (rng.random((5000, d)), *grid_points, np.full((1, d), 0.5)):
@@ -392,7 +395,7 @@ class TestConeTarget:
             seen.append(points)
             return cone(d)(points)
 
-        grid = GridSpec(d, p, "trapezoid")
+        grid = GridSpec(d, p)
         grid_errors(recording, build_dd(cone(d), 4).net if d > 1 else zero_net(), grid)
         for points in seen:
             assert points.dtype == np.float64 and points.flags.c_contiguous
@@ -400,7 +403,7 @@ class TestConeTarget:
         sizes = [len(points) for points in seen]
         assert sizes[:-1] == [metrics._CHUNK] * (len(seen) - 1)
         assert 0 < sizes[-1] <= metrics._CHUNK
-        axis = metrics._axis_points(grid)[0]
+        axis = midpoints(grid)
         every = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(np.concatenate(seen), every)
 

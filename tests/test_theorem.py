@@ -227,10 +227,16 @@ class TestChooseDelta:
             choose_delta(DeltaPolicy(floor=1e-6), ctx)
         assert exc.value.achieved == 1.0
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf, MIN_BREAK_GAP, 1e-30])
-    def test_floor_must_lie_above_min_break_gap(self, floor):
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, MIN_BREAK_GAP, 1e-30])
+    def test_floor_must_lie_above_min_break_gap(self, value):
         with pytest.raises(ValueError, match="floor"):
-            DeltaPolicy(floor=floor)
+            DeltaPolicy(floor=value)
+        # the target only has to be positive and finite
+        if 0 < value < math.inf:
+            assert DeltaPolicy(target=value).target == value
+        else:
+            with pytest.raises(ValueError, match="target"):
+                DeltaPolicy(target=value)
 
     def test_checked_fields_cannot_be_reassigned(self):
         policy = DeltaPolicy()
