@@ -438,7 +438,9 @@ def _add_common(sub, with_target=True):
                          choices=["empirical-shrink", "paper-sufficient"])
         sub.add_argument("--delta-floor", dest="delta_floor", type=float, default=1e-12)
         sub.add_argument("--delta-target", dest="delta_target", type=float, default=None,
-                         help="override the right side of the delta inequality")
+                         help="override the right side of the delta inequality; in d = 1 "
+                              "a target below about N*1e-16 lies under the rounding error "
+                              "of the sliver measurement and can accept a delta on noise")
         sub.add_argument("--grid-points", dest="grid_points", type=int, default=None,
                          help="points per axis for measurement (defaults per d)")
 

@@ -22,7 +22,6 @@ from .cpl import (
     MIN_BREAK_GAP,
     CplFunction,
     SampleSet,
-    _Mesh,
     _extract_cpl,
     _fit_one_layer_row,
     _sliver_l1,
@@ -132,14 +131,11 @@ def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
     ``3 * max_y * prod_k (1 + max_j(x_{j(n+1)+n} - x_{j(n+1)+k-1})
     / min_j(x_{j(n+1)+k} - x_{j(n+1)+k-1}))``.
     """
-    xs = np.asarray(xs, dtype=float)
-    prod = 1.0
-    js = np.arange(m)
-    for k in range(1, n + 1):
-        num = np.max(xs[js * (n + 1) + n] - xs[js * (n + 1) + k - 1])
-        den = np.min(xs[js * (n + 1) + k] - xs[js * (n + 1) + k - 1])
-        prod *= 1.0 + num / den
-    return 3.0 * max_y * prod
+    blocks = np.asarray(xs, dtype=float)[: m * (n + 1)].reshape(m, n + 1)
+    num = np.max(blocks[:, n:] - blocks[:, :n], axis=0)
+    den = np.min(np.diff(blocks, axis=1), axis=0)
+    # the factors multiply left to right in k
+    return 3.0 * max_y * math.prod(1.0 + num / den)
 
 
 def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
@@ -150,8 +146,16 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     point of every block, extrapolating the line through
     ``(x_{j(n+1)+k-1}, 0)`` and ``(x_{j(n+1)+k}, f_k(x_{j(n+1)+k}))`` to the
     block's break points.  The output row alternates signs ``[1, 1, -1, ...,
-    1, -1]``.  Every stage interpolates its break-point values onto the
-    sample grid through one mesh of the grid among the break points.
+    1, -1]``.
+
+    The stages work on the block layout: an ``(n+1, m)`` matrix whose row
+    i holds point i of every block.  Block j's points all lie between its
+    break points 2j and 2j+1 (rows 0 and n), so a stage's piece on block j
+    is one line through its two break-point values, with ``np.interp``'s
+    arithmetic, and only one of the plus and minus pieces is nonzero.
+    Stage k reads row k, so it updates only rows k+1..n; with
+    ``residuals=True`` it updates every row and records the whole grid.
+    The last sample lies past every block; its residual is 0 after stage 0.
 
     Returns ``(network, trace)``; the trace holds the n + 2 grid-size
     residual vectors only with ``residuals=True``.
@@ -167,40 +171,70 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
     trace = ResidualTrace(break_indices=bidx)
 
-    f = ys.astype(float).copy()
-    if residuals:
-        trace.residuals.append(f.copy())
+    # every operand C-ordered: a transposed view makes each stage's pass strided
+    xb = xs[:-1].reshape(m, n + 1).T.copy()
+    t = xb - xb[0]
+    f = ys[:-1].reshape(m, n + 1).T.copy()
+    tail = ys[-1:].copy()
+    line = np.empty_like(f)
 
-    mesh = _Mesh(xs, bx)
+    def record():
+        r = np.empty(xs.size)
+        r[:-1].reshape(m, n + 1)[...] = f.T
+        r[-1] = tail[0]
+        trace.residuals.append(r)
+        return r
+
+    def update(lo: int, e0, e1, sign=1.0):
+        """``f -= sign * max(line, 0)`` on rows lo..n, per block.
+
+        The line runs through the block's break-point values e0 (row 0) and
+        e1 (row n); like ``np.interp``, the two node rows take them unchanged.
+        """
+        np.multiply((e1 - e0) / t[n], t[lo:n], out=line[lo:n])
+        line[lo:n] += e0
+        line[0], line[n] = e0, e1
+        rows = line[lo:]
+        np.maximum(rows, 0.0, out=rows)
+        rows *= sign
+        f[lo:] -= rows
+
+    if residuals:
+        record()
     # break-point values of the 2n+1 second-layer units: row 0 fits the
     # sample CPL (stage 0), rows 2k-1 and 2k the plus and minus pieces of stage k
     g_break = np.zeros((2 * n + 1, 2 * m + 1))
-    g_break[0] = f[bidx]
-    f = f - np.maximum(mesh(g_break[0]), 0.0)
+    g_break[0] = ys[bidx]
+    update(0 if residuals else 1, f[0].copy(), f[n].copy())
+    tail -= np.maximum(tail, 0.0)
     if residuals:
-        trace.residuals.append(f.copy())
+        record()
 
-    block_start = (n + 1) * np.arange(m)
     # block ends x_{j(n+1)} and x_{j(n+1)+n}: the break points 2j and 2j+1
-    block_ends = xs[np.column_stack((block_start, block_start + n))]
+    block_ends = np.column_stack((xb[0], xb[n]))
     for k in range(1, n + 1):
-        vals = f[block_start + k]
+        vals = f[k]
         snapped = np.abs(vals) <= snap
         # ties (residual exactly zero) go to the plus class
         plus = (vals >= 0) | snapped
         trace.lambda_plus.append(np.nonzero(plus)[0])
         trace.lambda_minus.append(np.nonzero(~plus)[0])
 
-        xa = xs[block_start + k - 1]
-        slope = np.abs(vals) / (xs[block_start + k] - xa)
+        xa = xb[k - 1]
+        slope = np.abs(vals) / (xb[k] - xa)
         ends = slope[:, None] * (block_ends - xa[:, None])
         g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
         g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
 
-        gp_grid, gm_grid = np.maximum(mesh(g_break[2 * k - 1:2 * k + 1]), 0.0)
-        f = f - gp_grid + gm_grid
+        lo = 0 if residuals else k + 1
+        if lo <= n:
+            ends[snapped] = 0.0
+            update(lo, ends[:, 0], ends[:, 1], np.where(plus, 1.0, -1.0))
         if residuals:
-            trace.residuals.append(f.copy())
+            # a stage is ``f - gp + gm``: its last step adds 0.0, which turns
+            # a -0 into +0.  A zero's sign changes no nonzero value of a
+            # later stage, so adding 0.0 to the record gives the same bits
+            record()[...] += 0.0
 
     w3 = np.ones((1, 2 * n + 1))
     w3[0, 2::2] = -1.0
@@ -223,6 +257,10 @@ class DeltaPolicy:
     ``empirical-shrink`` starts at ``DELTA_SHRINK * (half the minimum grid
     gap)`` and keeps multiplying by ``DELTA_SHRINK`` until the measured
     don't-care contribution fits the budget or delta reaches ``floor``.
+    ``target``, when given, replaces the budget.  ``build_1d`` measures each
+    of its N slivers with a rounding error of up to about 5e-17 absolute, so
+    a target below about ``N * 1e-16`` lies under that error and can accept
+    a delta on noise.
     """
 
     mode: str = EMPIRICAL_SHRINK

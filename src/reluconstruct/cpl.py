@@ -5,11 +5,13 @@ first layer, biases at the break points, output weights from secant-slope
 differences), exact piecewise L1 integration used as a test oracle, and two
 ways to recover a CPL view of a 1-D network: black-box probing with slope
 detection, and exact layer-by-layer propagation, whose refinement of every
-unit onto the growing break mesh reproduces ``np.interp`` bit for bit.  A
-third path measures without a CPL view: ``_sliver_l1`` integrates a
-two-hidden-layer network against a secant on many intervals free of
-first-layer kinks at once, from the second-layer zero crossings; it is
-tested against the exact compile of each interval.
+unit onto the growing break mesh reproduces ``np.interp`` bit for bit
+(``_Mesh``, used by that compile alone: the two-hidden-layer interpolant
+evaluates its stages on its own block layout).  A third path measures
+without a CPL view: ``_sliver_l1`` integrates a two-hidden-layer network
+against a secant on many intervals free of first-layer kinks at once, from
+the second-layer zero crossings; it is tested against the exact compile of
+each interval.
 """
 
 from __future__ import annotations
@@ -420,8 +422,9 @@ def _sliver_block(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
 
 def cpl_sup(f: CplFunction, a: float, b: float) -> float:
     """Exact ``sup |f|`` over ``[a, b]`` (attained at a break or an endpoint)."""
-    pts = [a, b] + [x for x in f.breaks if a < x < b]
-    return float(np.max(np.abs(eval_cpl(f, np.asarray(pts, dtype=float)))))
+    inside = f.breaks[(f.breaks > a) & (f.breaks < b)]
+    pts = np.concatenate((np.array([a, b], dtype=float), inside))
+    return float(np.max(np.abs(eval_cpl(f, pts))))
 
 
 def cpl_to_json(f: CplFunction) -> str:

@@ -52,8 +52,8 @@ class GridSpec:
             object.__setattr__(self, name, int(value))
         if self.d < 1:
             raise ShapeError("d must be a positive integer")
-        if self.points_per_axis < 2:
-            raise ShapeError("points_per_axis must be at least 2")
+        if self.points_per_axis < 1:
+            raise ShapeError("points_per_axis must be a positive integer")
         if self.total_points > GRID_POINT_CAP:
             raise ResourceError(
                 f"{self.total_points} grid points exceed the cap of {GRID_POINT_CAP}"

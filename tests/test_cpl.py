@@ -16,6 +16,7 @@ from reluconstruct import (
     build_1d,
     choose_delta,
     cpl_from_net_1d,
+    cpl_sup,
     eval_cpl,
     evaluate,
     evaluate_batch,
@@ -209,6 +210,27 @@ class TestCplJson:
             cpl_from_json('{"breaks": [0, 1]')
         with pytest.raises(ParseError):
             cpl_from_json('{"breaks": [0, 1]}')
+
+
+class TestCplSup:
+    @staticmethod
+    def loop_sup(f, a, b):
+        pts = [a, b] + [x for x in f.breaks if a < x < b]
+        return float(np.max(np.abs(eval_cpl(f, np.asarray(pts, dtype=float)))))
+
+    def test_matches_loop_form(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            k = int(rng.integers(2, 40))
+            breaks = np.sort(rng.uniform(-1.0, 2.0, k))
+            if np.diff(breaks).min() <= 1e-9:
+                continue
+            f = CplFunction(breaks, rng.normal(size=k))
+            # ends inside, outside and on a break
+            a, b = np.sort(rng.choice(np.concatenate((breaks, rng.uniform(-2, 3, 4))), 2,
+                                      replace=False))
+            assert cpl_sup(f, a, b) == self.loop_sup(f, a, b)
+            assert cpl_sup(f, -1, 1) == self.loop_sup(f, -1, 1)
 
 
 class TestNetToCplExact:

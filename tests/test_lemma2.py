@@ -5,6 +5,7 @@ import pytest
 
 from reluconstruct import (
     Lemma2Plan,
+    ReluNetwork,
     SampleSet,
     ShapeError,
     evaluate,
@@ -12,7 +13,10 @@ from reluconstruct import (
     lemma2_interpolant,
     lemma2_sup_bound,
     parameter_count,
+    serialize,
 )
+from reluconstruct.construct import RESIDUAL_SNAP
+from reluconstruct.cpl import _fit_one_layer_row, _Mesh
 
 
 def bounded_grid(rng, count):
@@ -70,6 +74,29 @@ class TestPaperFigureScale:
         dense = np.linspace(xs[0], xs[-1], 100001)
         sup = float(np.max(np.abs(evaluate_batch(net, dense))))
         assert sup <= lemma2_sup_bound(xs, 4, 4, float(ys.max()))
+
+
+def loop_sup_bound(xs, m, n, max_y):
+    """``lemma2_sup_bound`` as one gather per k."""
+    xs = np.asarray(xs, dtype=float)
+    prod = 1.0
+    js = np.arange(m)
+    for k in range(1, n + 1):
+        num = np.max(xs[js * (n + 1) + n] - xs[js * (n + 1) + k - 1])
+        den = np.min(xs[js * (n + 1) + k] - xs[js * (n + 1) + k - 1])
+        prod *= 1.0 + num / den
+    return 3.0 * max_y * prod
+
+
+class TestSupBoundLoopForm:
+    def test_matches_loop_form(self):
+        rng = np.random.default_rng(99)
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(1, 30, 2))
+            xs = np.sort(rng.uniform(0.0, 1.0, m * (n + 1) + 1))
+            max_y = float(rng.uniform(0.1, 5.0))
+            assert lemma2_sup_bound(xs, m, n, max_y) == loop_sup_bound(xs, m, n, max_y)
+            assert lemma2_sup_bound(list(xs), m, n, 2) == loop_sup_bound(list(xs), m, n, 2)
 
 
 class TestInvariants:
@@ -140,6 +167,102 @@ class TestInvariants:
         # stage k's plus and minus units are the second-layer rows 2k-1, 2k
         for k in range(1, n + 1):
             assert np.all(np.minimum(units[2 * k - 1], units[2 * k]) <= 1e-12)
+
+
+def reference_lemma2(plan, residuals=False):
+    """The full-grid stage loop: every stage meshes both pieces onto all points.
+
+    Returns ``(network, lambda_plus, lambda_minus, residuals)``.
+    """
+    m, n = plan.m, plan.n
+    xs, ys = plan.samples.xs, plan.samples.ys
+    bidx = plan.break_indices
+    bx = xs[bidx]
+    snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
+    lam_plus, lam_minus, trace = [], [], []
+
+    f = ys.astype(float).copy()
+    if residuals:
+        trace.append(f.copy())
+    mesh = _Mesh(xs, bx)
+    g_break = np.zeros((2 * n + 1, 2 * m + 1))
+    g_break[0] = f[bidx]
+    f = f - np.maximum(mesh(g_break[0]), 0.0)
+    if residuals:
+        trace.append(f.copy())
+
+    block_start = (n + 1) * np.arange(m)
+    block_ends = xs[np.column_stack((block_start, block_start + n))]
+    for k in range(1, n + 1):
+        vals = f[block_start + k]
+        snapped = np.abs(vals) <= snap
+        plus = (vals >= 0) | snapped
+        lam_plus.append(np.nonzero(plus)[0])
+        lam_minus.append(np.nonzero(~plus)[0])
+        xa = xs[block_start + k - 1]
+        slope = np.abs(vals) / (xs[block_start + k] - xa)
+        ends = slope[:, None] * (block_ends - xa[:, None])
+        g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
+        g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
+        gp_grid, gm_grid = np.maximum(mesh(g_break[2 * k - 1:2 * k + 1]), 0.0)
+        f = f - gp_grid + gm_grid
+        if residuals:
+            trace.append(f.copy())
+
+    w3 = np.ones((1, 2 * n + 1))
+    w3[0, 2::2] = -1.0
+    layers = ((np.ones((2 * m, 1)), -bx[:-1]), _fit_one_layer_row(bx, g_break),
+              (w3, np.zeros(1)))
+    return ReluNetwork(1, layers), lam_plus, lam_minus, trace
+
+
+def reference_cases():
+    """Seeded plans: random, m != n, m = 1, n = 1, exact zeros, block-linear data."""
+    rng = np.random.default_rng(1414)
+    shapes = [(1, 1), (1, 7), (7, 1), (2, 5), (5, 2), (4, 4), (9, 6), (16, 16)]
+    shapes += [tuple(rng.integers(1, 25, 2)) for _ in range(12)]
+    for m, n in shapes:
+        xs = bounded_grid(rng, m * (n + 1) + 1)
+        yield f"random-{m}x{n}", m, n, xs, rng.uniform(0.0, 2.0, xs.size)
+        zeros = rng.uniform(0.0, 1.0, xs.size)
+        zeros[rng.random(xs.size) < 0.4] = 0.0
+        yield f"zeros-{m}x{n}", m, n, xs, zeros
+        # values on one line per block leave rounding noise that RESIDUAL_SNAP zeroes
+        yield f"linear-{m}x{n}", m, n, xs, 1.0 + 3.0 * xs
+    xs = bounded_grid(rng, 3 * 5 + 1)
+    yield "all-zero", 3, 4, xs, np.zeros(xs.size)
+    yield "signed-zero", 3, 4, xs, np.where(rng.random(xs.size) < 0.5, -0.0, 1.0)
+
+
+class TestAgainstFullGridReference:
+    """The block-layout stage loop against the full-grid mesh loop, bit for bit."""
+
+    @pytest.mark.parametrize("name,m,n,xs,ys", list(reference_cases()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_reference(self, name, m, n, xs, ys):
+        plan = Lemma2Plan(m, n, SampleSet(xs, ys, m, n))
+        net, trace = lemma2_interpolant(plan, residuals=True)
+        ref_net, ref_plus, ref_minus, ref_trace = reference_lemma2(plan, residuals=True)
+        assert serialize(net) == serialize(ref_net)
+        assert serialize(lemma2_interpolant(plan)[0]) == serialize(ref_net)
+        for got, want in ((trace.lambda_plus, ref_plus), (trace.lambda_minus, ref_minus)):
+            assert len(got) == len(want) == n
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # bytes, so a -0 where the reference has +0 fails too
+        assert len(trace.residuals) == len(ref_trace) == n + 2
+        for got, want in zip(trace.residuals, ref_trace):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_cases_reach_the_snap_and_both_classes(self):
+        snapped = minus = 0
+        for _, m, n, xs, ys in reference_cases():
+            _, _, ref_minus, ref_trace = reference_lemma2(
+                Lemma2Plan(m, n, SampleSet(xs, ys, m, n)), residuals=True)
+            minus += sum(len(lam) for lam in ref_minus)
+            f = ref_trace[1]
+            snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
+            snapped += int(np.count_nonzero((np.abs(f) <= snap) & (f != 0)))
+        assert minus > 0 and snapped > 0
 
 
 class TestPreconditions:

@@ -60,6 +60,25 @@ class TestGridSpec:
         with pytest.raises(ShapeError, match="must be an integer"):
             GridSpec(d, p)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_empty_axis_rejected(self, p):
+        with pytest.raises(ShapeError, match="positive integer"):
+            GridSpec(1, p)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_point_grid_samples_the_midpoint(self, d):
+        seen = []
+
+        def f(pts):
+            seen.append(pts.copy())
+            return 3.0 + pts.sum(axis=1)
+
+        grid = GridSpec(d, 1)
+        assert grid.total_points == 1
+        # weight 1: L1 and Linf are both |f - 0| at the one point
+        assert grid_errors(f, zero_net(d), grid) == (3.0 + 0.5 * d, 3.0 + 0.5 * d)
+        assert len(seen) == 1 and np.array_equal(seen[0], np.full((1, d), 0.5))
+
     def test_numpy_integers_accepted(self):
         grid = GridSpec(np.int32(2), np.int64(100))
         assert grid == GridSpec(2, 100)
