@@ -24,6 +24,7 @@ from .cpl import (
     SampleSet,
     _extract_cpl,
     _fit_one_layer_row,
+    _integer,
     _sliver_l1,
     cpl_sup,
     eval_cpl,
@@ -367,6 +368,7 @@ class HolderTarget:
     nu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d", ShapeError))
         if self.d < 1:
             raise ShapeError("d must be a positive integer")
         if not 0 < self.alpha <= 1:
@@ -523,6 +525,7 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     """
     if target.d != 1:
         raise ShapeError("build_1d needs a one-dimensional target")
+    big_n = _integer(big_n, "N")
     if big_n < 1:
         raise ValueError("N must be a positive integer")
     policy = policy or DeltaPolicy()
@@ -576,6 +579,7 @@ def psi0(n: int, delta: float) -> ReluNetwork:
     Break points are ``{i/n} + {i/n - delta}``; each width-delta sliver ramps
     to the next step, and the value at 1 is ``n - 1``.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not 0 < delta < 0.5 / n:
@@ -596,6 +600,7 @@ def psi_projection(n: int, d: int, delta: float) -> ReluNetwork:
     each; the output row scales copy i by ``n^-i`` so the value on an
     interior cell is exactly the cell's base-n code.
     """
+    d = _integer(d, "d", ShapeError)
     p0 = psi0(n, delta)
     (w1, b1), (w2, b2) = p0.layers
     width = 2 * n
@@ -633,6 +638,7 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     d = target.d
     if d < 2:
         raise ShapeError("build_dd needs a target with d >= 2")
+    big_n = _integer(big_n, "N")
     if big_n < 1:
         raise ValueError("N must be a positive integer")
     policy = policy or DeltaPolicy()
@@ -706,6 +712,7 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     not between g and the network itself.  Returns ``(network,
     achieved_error)``.
     """
+    m, n = _integer(m, "m"), _integer(n, "n")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if epsilon <= 0:

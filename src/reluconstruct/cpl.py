@@ -52,6 +52,13 @@ SLOPE_TOL = 1e-6
 SLIVER_BLOCK = 64
 
 
+def _integer(value, name: str, error=ValueError) -> int:
+    """``value`` as an int: ints and numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_increasing(xs, what):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
@@ -114,6 +121,8 @@ class SampleSet:
         if (self.m is None) != (self.n is None):
             raise ShapeError("m and n must be given together")
         if self.m is not None:
+            for name in ("m", "n"):
+                object.__setattr__(self, name, _integer(getattr(self, name), name, ShapeError))
             if self.m < 1 or self.n < 1:
                 raise ShapeError("m and n must be positive")
             expected = self.m * (self.n + 1) + 1

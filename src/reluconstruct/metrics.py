@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import HolderTarget
-from .cpl import net_to_cpl_exact
+from .cpl import _integer, net_to_cpl_exact
 from .errors import CertificateError, RegistryError, ResourceError, ShapeError
 from .network import ReluNetwork, evaluate_batch
 
@@ -26,9 +26,14 @@ __all__ = [
 
 # largest grid any caller may ask for: the d = 3 default, 256^3 points
 GRID_POINT_CAP = 256**3
-# evaluation happens in fixed-size chunks in index order, so sums are
+# the quadrature sums run chunk by chunk in index order, so they are
 # bit-stable regardless of how callers parallelize around this module
 _CHUNK = 1 << 18
+# each chunk is evaluated in blocks of this many points: a block's
+# coordinates, table sum, target and network values (128 KiB per array) stay
+# in a 2 MiB per-core L2.  On a 2-core Xeon, verify-dd ran 7% faster with
+# 2^14 than with 2^13, and 2^12 and 2^15 were slower still.
+_BLOCK = 1 << 14
 # a second weight matrix this close to rank 1 (relative to its largest
 # entry) is factored; compose's fused layers measure below 1e-15
 _RANK1_TOL = 1e-12
@@ -46,10 +51,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("d", "points_per_axis"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ShapeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ShapeError))
         if self.d < 1:
             raise ShapeError("d must be a positive integer")
         if self.points_per_axis < 1:
@@ -79,36 +81,49 @@ def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarra
     """``v[(q // stride) % len(v)]`` for ``q = start, ..., stop - 1``.
 
     The entries ``v[first % p], ..., v[last % p]`` are one slice of ``v``,
-    tiled when it wraps, and each is repeated ``stride`` times: no index is
-    computed per point.  With ``stride`` 1 the result may be a view of ``v``.
+    tiled when it wraps, and each is repeated ``stride`` times, the first and
+    last only as often as the range holds them: no index is computed per
+    point and no point outside the range is made.  With ``stride`` 1 the
+    result may be a view of ``v``.
     """
     p = len(v)
     first, last = start // stride, (stop - 1) // stride
     head, n = first % p, last - first + 1
     reps = -(-(head + n) // p)
     run = (np.tile(v, reps) if reps > 1 else v)[head:head + n]
-    skip = start - first * stride
-    return (np.repeat(run, stride) if stride > 1 else run)[skip:skip + stop - start]
+    if stride == 1:
+        return run
+    counts = np.full(n, stride)
+    counts[0] -= start - first * stride
+    counts[-1] -= (last + 1) * stride - stop
+    return np.repeat(run, counts)
 
 
-def _chunks(grid: GridSpec, pts: np.ndarray, tables=()):
-    """Yield (points (k, d), table sum (k,) or None) in C order.
+def _chunks(grid: GridSpec, pts: np.ndarray, tables=(), block: int = _BLOCK):
+    """Yield each ``_CHUNK`` of the grid as an iterator over its blocks.
 
-    ``pts`` are the grid's axis points and ``tables`` holds one length-p
-    array per axis.  Axis ``a`` of flat position ``q`` is
+    A block is (points (k, d), table sum (k,) or None) for at most ``block``
+    consecutive flat positions, in C order; no block crosses a chunk
+    boundary.  ``pts`` are the grid's axis points and ``tables`` holds one
+    length-p array per axis.  Axis ``a`` of flat position ``q`` is
     ``(q // p**(d-1-a)) % p``, so each per-axis array is laid out with
     ``_repeat_axis``.  Tables add from the first axis up.
     """
     p, d = grid.points_per_axis, grid.d
     strides = [p ** (d - 1 - a) for a in range(d)]
+
+    def blocks(start, stop):
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+
+            def lay(v, a):
+                return _repeat_axis(v, strides[a], lo, hi)
+
+            z = sum(lay(t, a) for a, t in enumerate(tables)) if tables else None
+            yield np.stack([lay(pts, a) for a in range(d)], axis=1), z
+
     for start in range(0, grid.total_points, _CHUNK):
-        stop = min(start + _CHUNK, grid.total_points)
-
-        def lay(v, a):
-            return _repeat_axis(v, strides[a], start, stop)
-
-        z = sum(lay(t, a) for a, t in enumerate(tables)) if tables else None
-        yield np.stack([lay(pts, a) for a in range(d)], axis=1), z
+        yield blocks(start, min(start + _CHUNK, grid.total_points))
 
 
 def _compile(net: ReluNetwork, pts: np.ndarray):
@@ -151,21 +166,29 @@ def _compile(net: ReluNetwork, pts: np.ndarray):
 def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     """Yield ``|f - net|`` per chunk of ``_chunks``, in its order.
 
-    The network is compiled once (see ``_compile``); one without a compiled
-    form is evaluated densely.
+    The network is compiled once (see ``_compile``) and each chunk is filled
+    block by block into one buffer of this call, which the next chunk
+    overwrites.  A network without a compiled form is evaluated densely, one
+    block per chunk: its cost is the matrix product, which blocks do not cut.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
     p = grid.points_per_axis
     pts = (np.arange(p) + 0.5) / p
     tables, outer = _compile(net, pts) or ((), None)
-    for coords, z in _chunks(grid, pts, tables):
-        fv = np.asarray(f(coords), dtype=float)
-        if fv.shape != (coords.shape[0],):
-            raise ShapeError("target must map (k, d) points to (k,) values")
-        nv = (evaluate_batch(net, coords) if outer is None
-              else np.interp(z, outer.breaks, outer.values))
-        yield np.abs(fv - nv)
+    buf = np.empty(min(_CHUNK, grid.total_points))
+    for blocks in _chunks(grid, pts, tables, _CHUNK if outer is None else _BLOCK):
+        k = 0
+        for coords, z in blocks:
+            fv = np.asarray(f(coords), dtype=float)
+            if fv.shape != (coords.shape[0],):
+                raise ShapeError("target must map (k, d) points to (k,) values")
+            nv = (evaluate_batch(net, coords) if outer is None
+                  else np.interp(z, outer.breaks, outer.values))
+            err = buf[k:k + fv.size]
+            np.abs(np.subtract(fv, nv, out=err), out=err)
+            k += fv.size
+        yield buf[:k]
 
 
 def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
@@ -173,13 +196,16 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
 
     L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
     point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
-    the grid points, a lower bound on the true sup.
+    the grid points, a lower bound on the true sup.  The target is called on
+    blocks of at most ``_BLOCK`` points (one per chunk for a network without
+    a compiled form), in C order; both reductions run per ``_CHUNK``.
     """
     weight = math.prod([1.0 / grid.points_per_axis] * grid.d)
     total, worst = 0.0, 0.0
     for err in _abs_errors(f, net, grid):
-        total += float(np.sum(err * weight))
         worst = max(worst, float(np.max(err)))
+        err *= weight  # the chunk buffer, which the next chunk overwrites
+        total += float(np.sum(err))
     return total, worst
 
 

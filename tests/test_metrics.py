@@ -1,6 +1,8 @@
 """Quadrature error measurement, target families, and rate fitting."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,7 +168,7 @@ def point_weight(grid):
 def dense_reference(f, net, grid):
     """(L1, Linf) from plain ``evaluate_batch`` over the same chunks."""
     total, worst = 0.0, 0.0
-    for coords, _ in metrics._chunks(grid, midpoints(grid)):
+    for coords, _, _ in reference_chunks(grid):
         err = np.abs(f(coords) - evaluate_batch(net, coords))
         total += float(np.sum(err * point_weight(grid)))
         worst = max(worst, float(np.max(err)))
@@ -311,7 +313,9 @@ class TestGridErrors:
     @MIDPOINT
     def test_several_chunks(self, quadrature):
         grid = GridSpec(1, 3 * 2**18 + 7)
-        assert sum(1 for _ in metrics._chunks(grid, midpoints(grid))) == 4
+        blocks = [[len(c) for c, _ in chunk] for chunk in metrics._chunks(grid, midpoints(grid))]
+        full = [metrics._BLOCK] * (metrics._CHUNK // metrics._BLOCK)
+        assert blocks == [full] * 3 + [[7]]
         f, net = tilted(1), build_1d(cone(1), 8).net
         assert grid_errors(f, net, grid) == two_pass_reference(f, net, grid)
 
@@ -352,12 +356,24 @@ def reference_errors(f, net, grid):
     return total, worst
 
 
+def block_sizes(grid, block):
+    """Per chunk, its block sizes: full blocks, then what is left of it."""
+    sizes = []
+    for start in range(0, grid.total_points, metrics._CHUNK):
+        size = min(metrics._CHUNK, grid.total_points - start)
+        sizes.append([block] * (size // block) + [size % block] * (size % block > 0))
+    return sizes
+
+
 # several chunks each, with the chunk boundary inside a row (and, for d = 3,
 # inside a plane); the d = 4 grid wraps its last axis thousands of times
 LAYOUT_GRIDS = [(2, 600), (3, 70), (4, 25), (1, 2**18 + 5)]
 
 
 class TestChunkLayout:
+    """Each chunk is laid out in blocks; the blocks of a chunk, joined, are
+    that chunk of the per-point reference."""
+
     @MIDPOINT
     @pytest.mark.parametrize("d,p", LAYOUT_GRIDS)
     def test_matches_per_point_reference(self, d, p, quadrature):
@@ -366,14 +382,25 @@ class TestChunkLayout:
         rng = np.random.default_rng(p)
         tables = [rng.normal(size=p) for _ in range(d)]
         pts = midpoints(grid)
-        got = list(metrics._chunks(grid, pts, tables))
         want = list(reference_chunks(grid))
-        assert len(got) == len(want) >= 2
-        for (coords, z), (ref_coords, ref_weights, axes) in zip(got, want):
-            assert np.array_equal(coords, ref_coords)
-            assert np.all(ref_weights == point_weight(grid))
-            assert np.array_equal(z, sum(t[j] for t, j in zip(tables, axes.T)))
-        assert all(z is None for _, z in metrics._chunks(grid, pts))
+        assert len(want) >= 2
+        # 1000 points leave a partial last block in every chunk and put block
+        # boundaries inside a row (and, for d >= 3, inside a plane)
+        assert all(sizes[-1] < 1000 for sizes in block_sizes(grid, 1000))
+        for block in (metrics._BLOCK, 1000):
+            got = list(metrics._chunks(grid, pts, tables, block))
+            assert len(got) == len(want)
+            sizes = block_sizes(grid, block)
+            for blocks, (ref_coords, ref_weights, axes), chunk_sizes in zip(got, want, sizes):
+                blocks = list(blocks)
+                assert [len(coords) for coords, _ in blocks] == chunk_sizes
+                for coords, z in blocks:
+                    assert coords.shape == (len(z), d) and coords.flags.c_contiguous
+                assert np.array_equal(np.concatenate([c for c, _ in blocks]), ref_coords)
+                assert np.all(ref_weights == point_weight(grid))
+                assert np.array_equal(np.concatenate([z for _, z in blocks]),
+                                      sum(t[j] for t, j in zip(tables, axes.T)))
+        assert all(z is None for chunk in metrics._chunks(grid, pts) for _, z in chunk)
 
     @MIDPOINT
     @pytest.mark.parametrize("case", ["compiled", "dense"])
@@ -387,6 +414,55 @@ class TestChunkLayout:
         grid, f = GridSpec(d, p), tilted(d)
         assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
         assert (len(calls) > 0) == (case == "dense")
+
+
+class TestBlockEdges:
+    """Blocks change where the target and ``np.interp`` run, not what any
+    sum adds: every result equals the whole-chunk evaluation bit for bit."""
+
+    @MIDPOINT
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("d,p", [(1, 999_999), (2, 777), (3, 100)])
+    def test_cone_equals_whole_chunk_reference(self, d, p, alpha, quadrature, monkeypatch):
+        # unaligned grids: the SIMD tail of np.power falls at block ends
+        calls = count_dense_calls(monkeypatch)
+        f = holder_family("cone", d, alpha, 1.0)
+        net = (build_1d(f, 8) if d == 1 else build_dd(f, 9 if d == 2 else 8)).net
+        grid = GridSpec(d, p)
+        assert grid.total_points % metrics._BLOCK != 0
+        assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
+        assert calls == []
+
+    def test_dense_fallback_takes_one_block_per_chunk(self, monkeypatch):
+        seen = []
+
+        def recording(points):
+            seen.append(len(points))
+            return tilted(2)(points)
+
+        grid = GridSpec(2, 600)
+        net = random_net(np.random.default_rng(2), 2, 2)
+        calls = count_dense_calls(monkeypatch)
+        assert grid_errors(recording, net, grid) == reference_errors(tilted(2), net, grid)
+        assert calls == seen == [metrics._CHUNK, grid.total_points - metrics._CHUNK]
+
+    def test_concurrent_calls_equal_serial(self):
+        # as sweep --threads does: each call fills its own chunk buffer, so
+        # calls that interleave block by block still give the serial bits
+        rng = np.random.default_rng(9)
+        cases = [(tilted(1), build_1d(cone(1), 8).net, GridSpec(1, 2**18 + 4321)),
+                 (tilted(2), build_dd(cone(2), 9).net, GridSpec(2, 600)),
+                 (cone(3), build_dd(cone(3), 8).net, GridSpec(3, 70)),
+                 (tilted(2), random_net(rng, 2, 2), GridSpec(2, 300))]
+        serial = [grid_errors(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                parallel = list(pool.map(lambda case: grid_errors(*case), cases * 2, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial * 2
 
 
 class TestConeTarget:
@@ -420,8 +496,7 @@ class TestConeTarget:
             assert points.dtype == np.float64 and points.flags.c_contiguous
             assert points.ndim == 2 and points.shape[1] == d
         sizes = [len(points) for points in seen]
-        assert sizes[:-1] == [metrics._CHUNK] * (len(seen) - 1)
-        assert 0 < sizes[-1] <= metrics._CHUNK
+        assert sizes == sum(block_sizes(grid, metrics._BLOCK), [])
         axis = midpoints(grid)
         every = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(np.concatenate(seen), every)

@@ -21,6 +21,7 @@ from reluconstruct import (
     GridSpec,
     HolderTarget,
     ResolutionError,
+    SampleSet,
     ShapeError,
     build_1d,
     build_dd,
@@ -484,6 +485,63 @@ _HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _holder(d):
+    return HolderTarget(f=lambda pts: pts[:, 0], d=d, alpha=1.0, nu=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: build_1d(_CONE_1D, 4.0), ValueError),
+        (lambda: build_1d(_CONE_1D, np.float64(4)), ValueError),
+        (lambda: build_1d(_CONE_1D, True), ValueError),
+        (lambda: build_dd(_CONE_2D, 4.5), ValueError),
+        (lambda: build_dd(_CONE_2D, 4.0), ValueError),
+        (lambda: build_dd(_CONE_2D, True), ValueError),
+        (lambda: psi0(2.5, 0.1), ValueError),
+        (lambda: psi_projection(2, 1.5, 0.1), ShapeError),
+        (lambda: corollary32_check(_HAT, 2.0, 2, 1e-3), ValueError),
+        (lambda: corollary32_check(_HAT, 2, np.float32(2), 1e-3), ValueError),
+        (lambda: corollary32_check(_HAT, True, 2, 1e-3), ValueError),
+        (lambda: _holder(1.5), ShapeError),
+        (lambda: SampleSet(np.linspace(0, 1, 7), np.ones(7), 2.0, 2), ShapeError),
+        (lambda: SampleSet(np.linspace(0, 1, 8), np.ones(8), True, 6), ShapeError),
+        (lambda: _holder(2.0), ShapeError),
+        (lambda: _holder(True), ShapeError),
+    ],
+    ids=["build_1d-4.0", "build_1d-f64", "build_1d-bool", "build_dd-4.5", "build_dd-4.0",
+         "build_dd-bool", "psi0-2.5", "psi-projection-d1.5", "closure-m-float",
+         "closure-n-f32", "closure-m-bool", "holder-d1.5", "samples-m-float",
+         "samples-m-bool", "holder-d2.0", "holder-d-bool"],
+)
+def test_non_integer_sizes_rejected(call, error):
+    # the class each function raises for a size below 1, not a bare TypeError
+    # and not a silently truncated size
+    with pytest.raises(error, match="must be an integer") as info:
+        call()
+    assert info.type is error
+
+
+def _same_weights(a, b):
+    return len(a.layers) == len(b.layers) and all(
+        np.array_equal(wa, wb) and np.array_equal(ba, bb)
+        for (wa, ba), (wb, bb) in zip(a.layers, b.layers))
+
+
+def test_numpy_integer_sizes_accepted():
+    for build, target, big_n in ((build_1d, _CONE_1D, np.int64(4)),
+                                 (build_dd, _CONE_2D, np.int32(4))):
+        got, want = build(target, big_n), build(target, 4)
+        assert _same_weights(got.net, want.net) and got.bound == want.bound
+    net, err = corollary32_check(_HAT, np.int64(2), np.int16(2), 1e-3)
+    ref_net, ref_err = corollary32_check(_HAT, 2, 2, 1e-3)
+    assert err == ref_err and _same_weights(net, ref_net)
+    target = _holder(np.int64(2))
+    assert target.d == 2 and type(target.d) is int
+    samples = SampleSet(np.linspace(0, 1, 7), np.ones(7), np.int64(2), np.int8(2))
+    assert (samples.m, samples.n) == (2, 2) and type(samples.m) is type(samples.n) is int
 
 
 def test_lifted_samples_clamp_rounding_and_reject_certificate_breaks():
