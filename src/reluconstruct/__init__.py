@@ -10,7 +10,6 @@ from .construct import (
     Construction,
     ConstructionInfeasibleError,
     DeltaChoice,
-    DeltaContext,
     DeltaPolicy,
     EMPIRICAL_SHRINK,
     HolderTarget,
@@ -71,7 +70,6 @@ from .metrics import (
 )
 from .network import (
     ReluNetwork,
-    WidthVec,
     affine_post,
     compose,
     deserialize,

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from xml.etree import ElementTree as ET
 
@@ -36,7 +37,6 @@ from .construct import (
     corollary32_check,
     lemma2_interpolant,
     lemma2_sup_bound,
-    DeltaContext,
 )
 from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
@@ -331,23 +331,19 @@ def _suite_bounds(seed: int, m: int, n: int):
 def _suite_delta(seed: int, m: int, n: int):
     out = []
     pol = DeltaPolicy(mode="paper-sufficient")
-    ctx = DeltaContext(min_gap=0.25, budget=0.25, denom_log=math.log(2 * (2 + 6 * math.factorial(3))))
-    choice = choose_delta(pol, ctx)
+    choice = choose_delta(pol, min_gap=0.25, budget=0.25,
+                          denom_log=math.log(2 * (2 + 6 * math.factorial(3))))
     out.append(("paper-N2", abs(choice.delta - 0.25 / 76) <= 1e-15, f"delta {choice.delta!r}"))
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        ctx16 = DeltaContext(
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c16 = choose_delta(
+            pol,
             min_gap=1 / 256,
             budget=16.0 ** -2,
             denom_log=math.log(16) + float(np.logaddexp(math.log(2), math.log(6) + math.lgamma(18))),
         )
-        c16 = choose_delta(pol, ctx16)
     out.append(("paper-N16-clamp", c16.clamped, f"delta {c16.delta:.2e}"))
-    emp = choose_delta(
-        DeltaPolicy(), DeltaContext(min_gap=0.1, budget=1.0, h_error=lambda d: 0.0)
-    )
+    emp = choose_delta(DeltaPolicy(), min_gap=0.1, budget=1.0, h_error=lambda d: 0.0)
     out.append(("empirical-below-half-gap", emp.delta < 0.05, f"delta {emp.delta}"))
     return out
 

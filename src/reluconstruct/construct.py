@@ -46,7 +46,6 @@ __all__ = [
     "ResidualTrace",
     "DeltaPolicy",
     "DeltaChoice",
-    "DeltaContext",
     "HolderTarget",
     "Construction",
     "PAPER_SUFFICIENT",
@@ -108,22 +107,13 @@ class ResidualTrace:
     ``residuals[k]`` holds the stage-k residual at every grid point
     (k = 0 .. n+1) when ``lemma2_interpolant`` was asked for them, and is
     empty otherwise; ``lambda_plus[k-1]``/``lambda_minus[k-1]`` the sign
-    classes of stage k.
+    classes of stage k.  The break indices are the plan's
+    :attr:`Lemma2Plan.break_indices`.
     """
 
-    break_indices: np.ndarray
     residuals: list = field(default_factory=list)
     lambda_plus: list = field(default_factory=list)
     lambda_minus: list = field(default_factory=list)
-
-    def as_document(self) -> dict:
-        """Plain-Python dict for the optional trace JSON."""
-        return {
-            "break_indices": self.break_indices.tolist(),
-            "residuals": [r.tolist() for r in self.residuals],
-            "lambda_plus": [sorted(map(int, lam)) for lam in self.lambda_plus],
-            "lambda_minus": [sorted(map(int, lam)) for lam in self.lambda_minus],
-        }
 
 
 def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
@@ -170,7 +160,7 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     b1 = -bx[:-1]
 
     snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
-    trace = ResidualTrace(break_indices=bidx)
+    trace = ResidualTrace()
 
     # every operand C-ordered: a transposed view makes each stage's pass strided
     xb = xs[:-1].reshape(m, n + 1).T.copy()
@@ -287,40 +277,30 @@ class DeltaChoice:
     h_error: float | None = None
 
 
-@dataclass
-class DeltaContext:
-    """Construction-side inputs to :func:`choose_delta`.
+def choose_delta(policy: DeltaPolicy, *, min_gap: float, budget: float,
+                 denom_log: float | None = None,
+                 h_error: Callable[[float], float] | None = None) -> DeltaChoice:
+    """Pick the puncture width under the given policy.
 
     ``min_gap`` is the smallest gap of the grid the delta punctures,
     ``budget`` the right side of the delta inequality, ``denom_log`` the log
     of the closed-form multiplier (paper mode), and ``h_error`` a callable
     measuring the don't-care L1 contribution at a candidate delta
-    (empirical mode).
-    """
-
-    min_gap: float
-    budget: float
-    denom_log: float | None = None
-    h_error: Callable[[float], float] | None = None
-
-
-def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
-    """Pick the puncture width under the given policy.
-
-    The returned delta is always strictly below half the punctured grid's
-    minimum gap.  In empirical mode a floor hit without meeting the budget
+    (empirical mode).  The returned delta is always strictly below half
+    ``min_gap``.  In empirical mode a floor hit without meeting the budget
     raises :class:`ConstructionInfeasibleError` carrying the measured error.
     """
-    if not 0 < context.min_gap < math.inf:
-        raise ValueError(f"min_gap must be positive and finite, got {context.min_gap!r}")
-    half_gap = 0.5 * context.min_gap
+    if not 0 < min_gap < math.inf:
+        raise ValueError(f"min_gap must be positive and finite, got {min_gap!r}")
+    half_gap = 0.5 * min_gap
     cap = half_gap * (1.0 - 1e-9)
+    if policy.target is not None:
+        budget = policy.target
 
     if policy.mode == PAPER_SUFFICIENT:
-        if context.denom_log is None:
+        if denom_log is None:
             raise ValueError("paper-sufficient mode needs the closed-form denominator")
-        target = context.budget if policy.target is None else policy.target
-        log_delta = math.log(target) - context.denom_log
+        log_delta = math.log(budget) - denom_log
         if log_delta < math.log(policy.floor):
             warnings.warn(
                 "paper-sufficient delta underflows the floor; clamping "
@@ -331,12 +311,11 @@ def choose_delta(policy: DeltaPolicy, context: DeltaContext) -> DeltaChoice:
             return DeltaChoice(delta=min(policy.floor, cap), clamped=True)
         return DeltaChoice(delta=min(math.exp(log_delta), cap), clamped=False)
 
-    if context.h_error is None:
+    if h_error is None:
         raise ValueError("empirical-shrink mode needs an h_error measurement")
-    budget = context.budget if policy.target is None else policy.target
     delta = DELTA_SHRINK * half_gap
     for it in itertools.count(1):
-        err = context.h_error(delta)
+        err = h_error(delta)
         if err <= budget:
             return DeltaChoice(delta=delta, iterations=it, h_error=err)
         if delta <= policy.floor:
@@ -369,8 +348,6 @@ class HolderTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer(self.d, "d", ShapeError))
-        if self.d < 1:
-            raise ShapeError("d must be a positive integer")
         if not 0 < self.alpha <= 1:
             raise CertificateError("alpha must lie in (0, 1]")
         if not self.nu > 0:
@@ -526,8 +503,6 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     if target.d != 1:
         raise ShapeError("build_1d needs a one-dimensional target")
     big_n = _integer(big_n, "N")
-    if big_n < 1:
-        raise ValueError("N must be a positive integer")
     policy = policy or DeltaPolicy()
     _warn_on_certificate(target)
 
@@ -556,13 +531,13 @@ def build_1d(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     denom_log = math.log(big_n) + np.logaddexp(
         math.log(2.0), math.log(6.0) + math.lgamma(big_n + 2)
     )
-    ctx = DeltaContext(
+    choice = choose_delta(
+        policy,
         min_gap=1.0 / n_cap,
         budget=float(big_n) ** (-2.0 * alpha),
         denom_log=float(denom_log),
         h_error=h0_error,
     )
-    choice = choose_delta(policy, ctx)
     xs, _, net = build(choice.delta)
     final = affine_post(net, target.nu, f0 - target.nu)
     bound = 2.0 * target.nu * float(big_n) ** (-2.0 * alpha)
@@ -580,8 +555,6 @@ def psi0(n: int, delta: float) -> ReluNetwork:
     to the next step, and the value at 1 is ``n - 1``.
     """
     n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     if not 0 < delta < 0.5 / n:
         raise ValueError("delta must lie in (0, 1/(2n))")
     xs = _closure_grid(np.arange(1, n) / n, n, 1, delta)
@@ -639,8 +612,6 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     if d < 2:
         raise ShapeError("build_dd needs a target with d >= 2")
     big_n = _integer(big_n, "N")
-    if big_n < 1:
-        raise ValueError("N must be a positive integer")
     policy = policy or DeltaPolicy()
     _warn_on_certificate(target)
 
@@ -681,13 +652,13 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     denom_log = math.log(2.0 * n * d * sqd) + np.logaddexp(
         0.0, math.log(3.0) + math.lgamma(n_prime + 2)
     )
-    ctx = DeltaContext(
+    choice = choose_delta(
+        policy,
         min_gap=1.0 / n,
         budget=d ** (0.5 * alpha) * float(n) ** (-alpha),
         denom_log=float(denom_log),
         h_error=h1_error,
     )
-    choice = choose_delta(policy, ctx)
 
     psi = psi_projection(n, d, choice.delta)
     net = compose(phibar, psi)
@@ -713,10 +684,8 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
     achieved_error)``.
     """
     m, n = _integer(m, "m"), _integer(n, "n")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must lie in (0, inf), got {epsilon!r}")
     interior = g.breaks[(g.breaks > 0.0) & (g.breaks < 1.0)]
     q = len(interior)
     if q > m * n:
@@ -748,6 +717,5 @@ def corollary32_check(g: CplFunction, m: int, n: int, epsilon: float):
         return exact_l1_cpl(extracted, g, 0.0, 1.0)
 
     # the search starts at a quarter of min_gap, which is exactly delta_cap
-    ctx = DeltaContext(min_gap=4.0 * delta_cap, budget=epsilon, h_error=measure)
-    choice = choose_delta(policy, ctx)
+    choice = choose_delta(policy, min_gap=4.0 * delta_cap, budget=epsilon, h_error=measure)
     return affine_post(build(choice.delta)[2], 1.0, -shift), choice.h_error

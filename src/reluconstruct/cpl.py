@@ -53,9 +53,11 @@ SLIVER_BLOCK = 64
 
 
 def _integer(value, name: str, error=ValueError) -> int:
-    """``value`` as an int: ints and numpy integers pass, bools and floats do not."""
+    """``value`` as a positive int: ints and numpy integers pass, bools and floats do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
 
@@ -123,8 +125,6 @@ class SampleSet:
         if self.m is not None:
             for name in ("m", "n"):
                 object.__setattr__(self, name, _integer(getattr(self, name), name, ShapeError))
-            if self.m < 1 or self.n < 1:
-                raise ShapeError("m and n must be positive")
             expected = self.m * (self.n + 1) + 1
             if xs.size != expected:
                 raise ShapeError(
@@ -136,9 +136,6 @@ class SampleSet:
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-
-    def __len__(self):
-        return self.xs.size
 
 
 def eval_cpl(f: CplFunction, x):

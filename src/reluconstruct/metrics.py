@@ -52,10 +52,6 @@ class GridSpec:
     def __post_init__(self):
         for name in ("d", "points_per_axis"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ShapeError))
-        if self.d < 1:
-            raise ShapeError("d must be a positive integer")
-        if self.points_per_axis < 1:
-            raise ShapeError("points_per_axis must be a positive integer")
         if self.total_points > GRID_POINT_CAP:
             raise ResourceError(
                 f"{self.total_points} grid points exceed the cap of {GRID_POINT_CAP}"
@@ -278,7 +274,6 @@ def holder_family(name: str, d: int, alpha: float, nu: float) -> HolderTarget:
 class RateFit:
     """Least-squares line through (ln N, ln error)."""
 
-    pairs: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -299,4 +294,4 @@ def rate_fit(pairs) -> RateFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateFit(pairs=pairs, slope=float(slope), intercept=float(intercept), r_squared=r2)
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)

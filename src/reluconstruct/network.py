@@ -17,7 +17,6 @@ from .errors import CompositionError, ParseError, ShapeError
 
 __all__ = [
     "ReluNetwork",
-    "WidthVec",
     "evaluate",
     "evaluate_batch",
     "compose",
@@ -76,31 +75,8 @@ class ReluNetwork:
         """Widths of the hidden layers (the paper-style widthvec)."""
         return [w.shape[0] for w, _ in self.layers[:-1]]
 
-    @property
-    def depth(self):
-        """Number of hidden layers."""
-        return len(self.layers) - 1
-
     def __call__(self, x):
         return evaluate(self, x)
-
-
-@dataclass(frozen=True)
-class WidthVec:
-    """Hidden-layer widths identifying an architecture class."""
-
-    widths: tuple
-
-    def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
-        if not widths or any(w < 1 for w in widths):
-            raise ShapeError("widthvec must be a nonempty list of positive widths")
-        object.__setattr__(self, "widths", widths)
-
-    def admits(self, net: ReluNetwork) -> bool:
-        """Whether the network fits this class (narrower layers embed by zero rows)."""
-        hw = net.hidden_widths
-        return len(hw) == len(self.widths) and all(a <= b for a, b in zip(hw, self.widths))
 
 
 def parameter_count(net: ReluNetwork) -> int:

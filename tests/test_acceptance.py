@@ -15,7 +15,6 @@ from reluconstruct import (
     ArchSpec,
     CostParams,
     CplFunction,
-    DeltaContext,
     DeltaPolicy,
     GridSpec,
     HolderTarget,
@@ -284,24 +283,19 @@ def test_criterion_7_cost_regimes():
 def test_criterion_8_delta_policy():
     t0 = time.perf_counter()
     pol = DeltaPolicy(mode="paper-sufficient")
-    ctx2 = DeltaContext(
-        min_gap=0.25, budget=2.0 ** -2.0,
-        denom_log=math.log(2 * (2 + 6 * math.factorial(3))),
-    )
-    d2 = choose_delta(pol, ctx2)
+    d2 = choose_delta(pol, min_gap=0.25, budget=2.0 ** -2.0,
+                      denom_log=math.log(2 * (2 + 6 * math.factorial(3))))
     assert abs(d2.delta - 0.25 / 76) <= 1e-15, f"criterion 8: delta {d2.delta!r}"
     assert not d2.clamped
 
     denom16 = math.log(16) + np.logaddexp(math.log(2), math.log(6) + math.lgamma(18))
     with pytest.warns(RuntimeWarning):
-        d16 = choose_delta(pol, DeltaContext(min_gap=1 / 256, budget=16.0 ** -2,
-                                             denom_log=float(denom16)))
+        d16 = choose_delta(pol, min_gap=1 / 256, budget=16.0 ** -2, denom_log=float(denom16))
     assert d16.clamped, "criterion 8: N=16 must flag the f64 clamp"
 
     for min_gap in (0.5, 1e-2, 1e-4):
         for budget in (10.0, 1e-2):
-            c = choose_delta(DeltaPolicy(), DeltaContext(min_gap=min_gap, budget=budget,
-                                                         h_error=lambda d: d))
+            c = choose_delta(DeltaPolicy(), min_gap=min_gap, budget=budget, h_error=lambda d: d)
             assert c.delta < 0.5 * min_gap, "criterion 8: empirical delta above half gap"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"criterion 8 runtime {elapsed:.2f}s"

@@ -389,6 +389,20 @@ class TestUsageErrors:
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--net", "{net}"], "malformed network document"),
+        (["construct", "--d", "3", "--N", "100", "--out", "{out}"], "d <= 3, n <= 16"),
+        (["construct", "--d", "2", "--N", "1", "--out", "{out}"], "single cell per axis"),
+    ], ids=["parse", "resolution", "degenerate-grid"])
+    def test_library_error_exits_2(self, tmp_path, capsys, argv, message):
+        net = tmp_path / "net.json"
+        net.write_text('{"input_dim": 1, "layers": [')  # truncated
+        assert exit_code([a.format(net=net, out=tmp_path / "x.json") for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("usage error:") == 1 and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [net]
+
     def test_infeasible_writes_no_network(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = exit_code(["construct", "--alpha", "0.5", "--N", "2", "--out", out,

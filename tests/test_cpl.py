@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from reluconstruct import (
     CplFunction,
-    DeltaContext,
     DeltaPolicy,
     ReluNetwork,
     SampleSet,
@@ -513,10 +512,10 @@ class TestSliverL1:
             return total
 
         policy = DeltaPolicy(target=target)
-        ctx = DeltaContext(min_gap=1.0 / big_n**2, budget=float(big_n) ** (-2.0 * alpha),
-                           h_error=h0)
         c = build_1d(holder_family("cone", 1, alpha, 1.0), big_n, policy)
-        assert c.delta.delta == choose_delta(policy, ctx).delta
+        assert c.delta.delta == choose_delta(policy, min_gap=1.0 / big_n**2,
+                                             budget=float(big_n) ** (-2.0 * alpha),
+                                             h_error=h0).delta
 
     def test_matches_the_per_interval_compile_on_random_networks(self):
         rng = np.random.default_rng(61)

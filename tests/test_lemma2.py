@@ -143,7 +143,6 @@ class TestInvariants:
         assert len(trace_r.residuals) == n + 2
         for (w, b), (w_r, b_r) in zip(net.layers, net_r.layers, strict=True):
             assert np.array_equal(w, w_r) and np.array_equal(b, b_r)
-        assert np.array_equal(trace.break_indices, trace_r.break_indices)
         for got, want in ((trace.lambda_plus, trace_r.lambda_plus),
                           (trace.lambda_minus, trace_r.lambda_minus)):
             assert len(got) == len(want) == n

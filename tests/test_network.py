@@ -230,18 +230,3 @@ def test_parameter_count():
     net = random_net(rng, 2, [3, 5])
     # (3*2+3) + (5*3+5) + (1*5+1)
     assert parameter_count(net) == 9 + 20 + 6
-
-
-def test_widthvec_class():
-    from reluconstruct import WidthVec
-
-    rng = np.random.default_rng(14)
-    net = random_net(rng, 1, [3, 5])
-    assert WidthVec((3, 5)).admits(net)
-    assert WidthVec((4, 6)).admits(net)
-    assert not WidthVec((2, 5)).admits(net)
-    assert not WidthVec((3, 5, 1)).admits(net)
-    with pytest.raises(ShapeError):
-        WidthVec(())
-    with pytest.raises(ShapeError):
-        WidthVec((3, 0))

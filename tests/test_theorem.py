@@ -16,7 +16,6 @@ from reluconstruct import (
     CplFunction,
     DegenerateGridError,
     DeltaChoice,
-    DeltaContext,
     DeltaPolicy,
     GridSpec,
     HolderTarget,
@@ -190,12 +189,12 @@ class TestTheoremDD:
 class TestChooseDelta:
     def test_paper_sufficient_n2(self):
         pol = DeltaPolicy(mode="paper-sufficient")
-        ctx = DeltaContext(
+        choice = choose_delta(
+            pol,
             min_gap=0.25,
             budget=2.0 ** -2,
             denom_log=math.log(2 * (2 + 6 * math.factorial(3))),
         )
-        choice = choose_delta(pol, ctx)
         assert abs(choice.delta - 0.25 / 76) <= 1e-15
         assert not choice.clamped
         assert choice.delta < 0.125  # below half the punctured gap
@@ -203,29 +202,25 @@ class TestChooseDelta:
     def test_paper_sufficient_n16_clamps(self):
         pol = DeltaPolicy(mode="paper-sufficient")
         denom = math.log(16) + np.logaddexp(math.log(2), math.log(6) + math.lgamma(18))
-        ctx = DeltaContext(min_gap=1 / 256, budget=16.0 ** -2, denom_log=float(denom))
         with pytest.warns(RuntimeWarning):
-            choice = choose_delta(pol, ctx)
+            choice = choose_delta(pol, min_gap=1 / 256, budget=16.0 ** -2, denom_log=float(denom))
         assert choice.clamped
         assert choice.delta == pytest.approx(1e-12)
 
     def test_empirical_initial_accepted(self):
         pol = DeltaPolicy()
-        ctx = DeltaContext(min_gap=0.1, budget=1.0, h_error=lambda d: 0.0)
-        choice = choose_delta(pol, ctx)
+        choice = choose_delta(pol, min_gap=0.1, budget=1.0, h_error=lambda d: 0.0)
         assert choice.delta == construct.DELTA_SHRINK * 0.05
         assert choice.iterations == 1
 
     def test_empirical_never_at_or_above_half_gap(self):
         for budget in (1.0, 1e-3):
-            ctx = DeltaContext(min_gap=0.2, budget=budget, h_error=lambda d: d)
-            choice = choose_delta(DeltaPolicy(), ctx)
+            choice = choose_delta(DeltaPolicy(), min_gap=0.2, budget=budget, h_error=lambda d: d)
             assert choice.delta < 0.1
 
     def test_empirical_floor_raises(self):
-        ctx = DeltaContext(min_gap=0.1, budget=1e-6, h_error=lambda d: 1.0)
         with pytest.raises(ConstructionInfeasibleError) as exc:
-            choose_delta(DeltaPolicy(floor=1e-6), ctx)
+            choose_delta(DeltaPolicy(floor=1e-6), min_gap=0.1, budget=1e-6, h_error=lambda d: 1.0)
         assert exc.value.achieved == 1.0
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, MIN_BREAK_GAP, 1e-30])
@@ -247,9 +242,9 @@ class TestChooseDelta:
 
     def test_unmet_budget_runs_to_the_floor(self):
         tried = []
-        ctx = DeltaContext(min_gap=1.0, budget=1e-6, h_error=lambda d: tried.append(d) or 1.0)
         with pytest.raises(ConstructionInfeasibleError, match="floor width 1.000e-12") as exc:
-            choose_delta(DeltaPolicy(floor=1e-12), ctx)
+            choose_delta(DeltaPolicy(floor=1e-12), min_gap=1.0, budget=1e-6,
+                         h_error=lambda d: tried.append(d) or 1.0)
         assert exc.value.delta == 1e-12
         assert tried[0] == 0.25 and tried[-1] == 1e-12
         assert all(b == max(a / 2, 1e-12) for a, b in zip(tried, tried[1:]))
@@ -392,6 +387,16 @@ class TestCorollary32:
         assert exact <= 1e-3
         assert err == pytest.approx(exact, rel=0.05, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_reported_error_is_the_networks_distance(self):
+        # x^0.25 on knots clustered at 0: the probed measure reports 7.225e-6
+        # for a network whose exact distance to g is 2.390e-7
+        breaks = (np.arange(17) / 16.0) ** 4
+        g = CplFunction(breaks, breaks ** 0.25)
+        net, err = corollary32_check(g, 4, 4, 1e-3)
+        exact = exact_l1_cpl(net_to_cpl_exact(net, 0.0, 1.0), g, 0.0, 1.0)
+        assert err == pytest.approx(exact, rel=1e-9, abs=0.0)
+
     def test_grid_collision_then_recovery(self, monkeypatch):
         # delta_cap = 1/4 is wider than the 0.075 grid gap at (4, 2), so the
         # first width collides and the halved one fits
@@ -459,28 +464,32 @@ _HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     "call, error, match",
     [
         (lambda: DeltaPolicy(mode="bisect"), ValueError, "unknown delta mode"),
-        (lambda: choose_delta(DeltaPolicy(mode=PAPER_SUFFICIENT),
-                              DeltaContext(min_gap=0.1, budget=1.0)),
+        (lambda: choose_delta(DeltaPolicy(mode=PAPER_SUFFICIENT), min_gap=0.1, budget=1.0),
          ValueError, "closed-form denominator"),
-        (lambda: choose_delta(DeltaPolicy(), DeltaContext(min_gap=0.1, budget=1.0)),
+        (lambda: choose_delta(DeltaPolicy(), min_gap=0.1, budget=1.0),
          ValueError, "h_error"),
         # a search from an infinite or NaN width would never reach the floor
-        *[(lambda gap=gap: choose_delta(DeltaPolicy(), DeltaContext(gap, 0.0, None, lambda d: 1.0)),
+        *[(lambda gap=gap: choose_delta(DeltaPolicy(), min_gap=gap, budget=0.0,
+                                        h_error=lambda d: 1.0),
            ValueError, "min_gap") for gap in (math.inf, math.nan, 0.0, -1.0)],
         (lambda: HolderTarget(f=lambda pts: pts[:, 0], d=0, alpha=1.0, nu=1.0),
          ShapeError, "d must be"),
         (lambda: build_1d(_CONE_1D, 0), ValueError, "N must be"),
         (lambda: build_dd(_CONE_2D, 0), ValueError, "N must be"),
         (lambda: psi0(0, 0.1), ValueError, "n must be"),
-        (lambda: corollary32_check(_HAT, 0, 1, 1e-3), ValueError, "m and n"),
-        (lambda: corollary32_check(_HAT, 1, 0, 1e-3), ValueError, "m and n"),
+        (lambda: psi_projection(2, 0, 0.1), ShapeError, "d must be a positive integer"),
+        (lambda: corollary32_check(_HAT, 0, 1, 1e-3), ValueError, "m must be a positive integer"),
+        (lambda: corollary32_check(_HAT, 1, 0, 1e-3), ValueError, "n must be a positive integer"),
         (lambda: corollary32_check(_HAT, 1, 1, 0.0), ValueError, "epsilon"),
         (lambda: corollary32_check(_HAT, 1, 1, -1e-3), ValueError, "epsilon"),
+        (lambda: corollary32_check(_HAT, 1, 1, math.nan), ValueError, "epsilon"),
+        (lambda: corollary32_check(_HAT, 1, 1, math.inf), ValueError, "epsilon"),
     ],
     ids=["delta-mode", "paper-without-denominator", "empirical-without-h-error",
          "min-gap-inf", "min-gap-nan", "min-gap-0", "min-gap-negative",
-         "holder-d0", "build_1d-N0", "build_dd-N0", "psi0-n0", "closure-m0", "closure-n0",
-         "closure-eps0", "closure-eps-negative"],
+         "holder-d0", "build_1d-N0", "build_dd-N0", "psi0-n0", "psi-projection-d0",
+         "closure-m0", "closure-n0",
+         "closure-eps0", "closure-eps-negative", "closure-eps-nan", "closure-eps-inf"],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
