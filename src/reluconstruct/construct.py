@@ -24,7 +24,6 @@ from .cpl import (
     SampleSet,
     _extract_cpl,
     _fit_one_layer_row,
-    _integer,
     _sliver_l1,
     cpl_sup,
     eval_cpl,
@@ -38,6 +37,7 @@ from .errors import (
     DegenerateGridError,
     ResolutionError,
     ShapeError,
+    _integer,
 )
 from .network import ReluNetwork, affine_post, compose
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size check."""
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -52,3 +54,12 @@ class ConstructionInfeasibleError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.delta = delta
+
+
+def _integer(value, name: str, error=ValueError) -> int:
+    """``value`` as a positive int: ints and numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

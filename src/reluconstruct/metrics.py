@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import HolderTarget
-from .cpl import _integer, net_to_cpl_exact
-from .errors import CertificateError, RegistryError, ResourceError, ShapeError
+from .cpl import net_to_cpl_exact
+from .errors import CertificateError, RegistryError, ResourceError, ShapeError, _integer
 from .network import ReluNetwork, evaluate_batch
 
 __all__ = [
@@ -95,13 +95,32 @@ def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarra
     return np.repeat(run, counts)
 
 
-def _chunks(grid: GridSpec, pts: np.ndarray, tables=(), block: int = _BLOCK):
+@dataclass(frozen=True)
+class _Midpoints:
+    """The axis points ``(i + 0.5) / p`` of a d = 1 grid, made per slice.
+
+    Slicing gives ``(arange(lo, hi) + 0.5) / p``, bit for bit the slice of
+    the whole array, so a d = 1 pass holds its blocks and never the grid.
+    """
+
+    p: int
+
+    def __len__(self) -> int:
+        return self.p
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        lo, hi, _ = index.indices(self.p)
+        return (np.arange(lo, hi) + 0.5) / self.p
+
+
+def _chunks(grid: GridSpec, pts, tables=(), block: int = _BLOCK):
     """Yield each ``_CHUNK`` of the grid as an iterator over its blocks.
 
     A block is (points (k, d), table sum (k,) or None) for at most ``block``
     consecutive flat positions, in C order; no block crosses a chunk
-    boundary.  ``pts`` are the grid's axis points and ``tables`` holds one
-    length-p array per axis.  Axis ``a`` of flat position ``q`` is
+    boundary.  ``pts`` are the grid's axis points (an array, or
+    ``_Midpoints`` for d = 1) and ``tables`` holds one length-p array per
+    axis.  Axis ``a`` of flat position ``q`` is
     ``(q // p**(d-1-a)) % p``, so each per-axis array is laid out with
     ``_repeat_axis``.  Tables add from the first axis up.
     """
@@ -170,7 +189,8 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
     p = grid.points_per_axis
-    pts = (np.arange(p) + 0.5) / p
+    # d > 1 keeps its axis arrays: the grid cap leaves them at most 4096 points
+    pts = _Midpoints(p) if grid.d == 1 else (np.arange(p) + 0.5) / p
     tables, outer = _compile(net, pts) or ((), None)
     buf = np.empty(min(_CHUNK, grid.total_points))
     for blocks in _chunks(grid, pts, tables, _CHUNK if outer is None else _BLOCK):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompositionError, ParseError, ShapeError
+from .errors import CompositionError, ParseError, ShapeError, _integer
 
 __all__ = [
     "ReluNetwork",
@@ -47,8 +47,7 @@ class ReluNetwork:
     layers: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ShapeError("input_dim must be a positive integer")
+        object.__setattr__(self, "input_dim", _integer(self.input_dim, "input_dim", ShapeError))
         if not self.layers:
             raise ShapeError("a network needs at least one affine layer")
         frozen = []
@@ -95,7 +94,10 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
         raise ShapeError(f"expected points of dimension {net.input_dim}")
     h = xs
     for w, b in net.layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
+        # in place: two activation matrices alive, not three
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
     w, b = net.layers[-1]
     return (h @ w.T + b)[:, 0]
 
@@ -165,8 +167,10 @@ def serialize(net: ReluNetwork) -> bytes:
 def deserialize(data) -> ReluNetwork:
     """Parse the JSON interchange document back into a network.
 
-    Raises :class:`ParseError` (with the failing offset) on malformed input
-    and :class:`ShapeError` when the dimension chain is violated.
+    Raises :class:`ParseError` on malformed input, with the failing offset
+    when the JSON itself is malformed, and when ``input_dim`` is not a
+    positive integer (``1.0``, ``true`` and ``"1"`` are not); raises
+    :class:`ShapeError` when the dimension chain is violated.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -176,9 +180,9 @@ def deserialize(data) -> ReluNetwork:
         raise ParseError(f"malformed network document: {e.msg}", offset=e.pos) from e
     if not isinstance(doc, dict) or "input_dim" not in doc or "layers" not in doc:
         raise ParseError("network document must carry input_dim and layers")
+    input_dim = _integer(doc["input_dim"], "input_dim", ParseError)
     try:
         layers = tuple((lay["weight"], lay["bias"]) for lay in doc["layers"])
-        input_dim = int(doc["input_dim"])
     except (TypeError, KeyError) as e:
         raise ParseError(f"network document has malformed layer entries: {e}") from e
     return ReluNetwork(input_dim, layers)

@@ -1,5 +1,6 @@
 """CPL representation, the one-hidden-layer constructor, and exact integration."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reluconstruct import (
     CplFunction,
     DeltaPolicy,
+    Lemma2Plan,
     ReluNetwork,
     SampleSet,
     ShapeError,
@@ -22,9 +24,10 @@ from reluconstruct import (
     exact_l1_cpl,
     holder_family,
     lemma1_interpolant,
+    lemma2_interpolant,
     net_to_cpl_exact,
 )
-from reluconstruct import construct
+from reluconstruct import construct, cpl
 from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh, _merged_breaks, _sliver_l1, _thin_breaks
 
 
@@ -397,6 +400,94 @@ def assert_same_cpl(got, want, msg):
 
 def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def random_1d_net(rng, hidden):
+    layers, prev = [], 1
+    for width in [*hidden, 1]:
+        layers.append((rng.standard_normal((width, prev)), rng.standard_normal(width)))
+        prev = width
+    return ReluNetwork(1, tuple(layers))
+
+
+def lemma2_net(big_n, seed):
+    rng = np.random.default_rng(seed)
+    size = big_n * (big_n + 1) + 1
+    xs = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size - 2))))
+    return lemma2_interpolant(Lemma2Plan(big_n, big_n,
+                                         SampleSet(xs, rng.uniform(0.0, 2.0, size), big_n, big_n)))[0]
+
+
+class TestBlockedCompile:
+    """The last hidden layer in blocks of ``COMPILE_BLOCK`` new breaks gives
+    the breaks and values of the unblocked compile (``per_row_reference``,
+    one output product over every break) bit for bit, in bounded memory."""
+
+    def test_block_is_a_multiple_of_16(self):
+        assert cpl.COMPILE_BLOCK % 16 == 0
+
+    @pytest.mark.parametrize("big_n", [8, 32, 64, 128])
+    def test_build_1d(self, big_n):
+        net = build_1d(holder_family("cone", 1, 0.5, 1.0), big_n).net
+        f = net_to_cpl_exact(net, 0.0, 1.0)
+        assert f.breaks.size > cpl.COMPILE_BLOCK or big_n < 32
+        assert_same_cpl(f, per_row_reference(net, 0.0, 1.0), f"N = {big_n}")
+
+    @pytest.mark.parametrize("big_n", [16, 32, 64])
+    def test_lemma2_networks(self, big_n):
+        net = lemma2_net(big_n, big_n)
+        assert_same_cpl(net_to_cpl_exact(net, 0.0, 1.0), per_row_reference(net, 0.0, 1.0),
+                        f"m = n = {big_n}")
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_random_networks(self, depth):
+        rng = np.random.default_rng(70 + depth)
+        for trial in range(20):
+            net = random_1d_net(rng, rng.integers(2, 300, size=depth))
+            assert_same_cpl(net_to_cpl_exact(net, -2.0, 2.0), per_row_reference(net, -2.0, 2.0),
+                            f"trial {trial}, widths {net.hidden_widths}")
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("rest", range(8))
+    def test_every_remainder_at_the_module_block(self, blocks, rest):
+        # one hidden layer of unit slopes: one crossing per unit, so exactly
+        # blocks * COMPILE_BLOCK + rest breaks with both ends
+        rng = np.random.default_rng(100 * blocks + rest)
+        units = blocks * cpl.COMPILE_BLOCK + rest - 2
+        kinks = np.sort(rng.uniform(0.0, 1.0, units))
+        net = ReluNetwork(1, ((np.ones((units, 1)), -kinks),
+                              (rng.standard_normal((1, units)), rng.standard_normal(1))))
+        f = net_to_cpl_exact(net, 0.0, 1.0)
+        assert f.breaks.size == blocks * cpl.COMPILE_BLOCK + rest
+        assert_same_cpl(f, per_row_reference(net, 0.0, 1.0), f"{units} units")
+
+    @pytest.mark.parametrize("block", [16, 32])
+    def test_every_remainder_at_small_blocks(self, block, monkeypatch):
+        # 2- and 3-hidden-layer networks over many blocks; the remainders
+        # 1-7 are what a product of a few columns would round differently
+        monkeypatch.setattr(cpl, "COMPILE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        seen = set()
+        for trial in range(150):
+            net = random_1d_net(rng, rng.integers(2, 120, size=int(rng.integers(2, 4))))
+            f = net_to_cpl_exact(net, -2.0, 2.0)
+            seen.add(f.breaks.size % block if f.breaks.size > block else None)
+            assert_same_cpl(f, per_row_reference(net, -2.0, 2.0),
+                            f"trial {trial}, widths {net.hidden_widths}")
+        assert set(range(1, 8)) <= seen
+
+    def test_memory_at_n_128(self):
+        # the whole (257 x 32,726) last-layer matrix alone took 64 MiB, and
+        # the compile peaked at 132 MiB
+        net = build_1d(holder_family("cone", 1, 0.5, 1.0), 128).net
+        tracemalloc.start()
+        try:
+            f = net_to_cpl_exact(net, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.breaks.size > 30_000
+        assert peak < 16 * 2**20
 
 
 class TestMesh:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -445,6 +446,26 @@ class TestBlockEdges:
         calls = count_dense_calls(monkeypatch)
         assert grid_errors(recording, net, grid) == reference_errors(tilted(2), net, grid)
         assert calls == seen == [metrics._CHUNK, grid.total_points - metrics._CHUNK]
+
+    def test_d1_pass_holds_blocks_not_the_grid(self, monkeypatch):
+        # 2^22 points: the whole axis array and its arange took 64 MiB
+        f, net, grid = cone(1), build_1d(cone(1), 16).net, GridSpec(1, 2**22)
+        tracemalloc.start()
+        try:
+            got = grid_errors(f, net, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # the slice of the whole axis array (finite and positive: equal
+        # values are equal bits)
+        pts = metrics._Midpoints(grid.points_per_axis)
+        assert len(pts) == grid.points_per_axis
+        for lo, hi in ((0, 7), (2**21 - 3, 2**21 + 5), (2**22 - 9, 2**22)):
+            assert np.array_equal(pts[lo:hi], midpoints(grid)[lo:hi])
+        # and the errors of the whole-array layout
+        monkeypatch.setattr(metrics, "_Midpoints", lambda p: (np.arange(p) + 0.5) / p)
+        assert got == grid_errors(f, net, grid)
 
     def test_concurrent_calls_equal_serial(self):
         # as sweep --threads does: each call fills its own chunk buffer, so

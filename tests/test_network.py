@@ -1,6 +1,7 @@
 """Network representation, evaluation, composition, and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,35 @@ class TestEvaluate:
         for x, v in zip(xs, batch):
             assert evaluate(net, x) == pytest.approx(v, rel=1e-13, abs=1e-13)
 
+    def test_batch_equals_out_of_place_layers_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for input_dim, widths in ((1, [7]), (2, [16, 9]), (3, [33, 5, 12])):
+            net = random_net(rng, input_dim, widths)
+            xs = rng.uniform(-2, 2, (300, input_dim))
+            before = xs.copy()
+            h = xs
+            for w, b in net.layers[:-1]:
+                h = np.maximum(h @ w.T + b, 0.0)
+            w, b = net.layers[-1]
+            want = (h @ w.T + b)[:, 0]
+            got = evaluate_batch(net, xs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(xs, before)
+
+    def test_batch_keeps_two_activation_matrices(self):
+        # 2048 rows of width 256: 4 MiB a matrix; out of place took three
+        rng = np.random.default_rng(9)
+        net = random_net(rng, 1, [256, 256, 256])
+        xs = rng.uniform(-1, 1, 2048)
+        matrix = xs.size * 256 * 8
+        tracemalloc.start()
+        try:
+            evaluate_batch(net, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix
+
 
 class TestValidation:
     def test_chain_violation(self):
@@ -94,6 +124,16 @@ class TestValidation:
     def test_final_width_must_be_one(self):
         with pytest.raises(ShapeError):
             ReluNetwork(1, ((np.ones((2, 1)), np.zeros(2)),))
+
+    @pytest.mark.parametrize("input_dim", [True, 1.0, 0, -1, "1", None])
+    def test_input_dim_is_a_positive_integer(self, input_dim):
+        with pytest.raises(ShapeError, match="input_dim must be a"):
+            ReluNetwork(input_dim, ((np.ones((1, 1)), np.zeros(1)),))
+
+    def test_numpy_integer_input_dim_serializes_as_an_int(self):
+        net = ReluNetwork(np.int64(1), ((np.ones((1, 1)), np.zeros(1)),))
+        assert type(net.input_dim) is int
+        assert json.loads(serialize(net))["input_dim"] == 1
 
     def test_nonfinite_weight(self):
         with pytest.raises(ShapeError):
@@ -223,6 +263,13 @@ class TestSerialization:
         )
         with pytest.raises(ShapeError):
             deserialize(doc)
+
+
+@pytest.mark.parametrize("input_dim", [1.9, 1.0, "x", "1", True, None, [1], 0, -2])
+def test_deserialize_rejects_an_input_dim_that_is_not_a_positive_integer(input_dim):
+    doc = json.dumps({"input_dim": input_dim, "layers": [{"weight": [[1.0]], "bias": [0.0]}]})
+    with pytest.raises(ParseError, match="input_dim must be a"):
+        deserialize(doc)
 
 
 def test_parameter_count():
