@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .construct import _floor_power
-from .errors import ShapeError
+from .errors import ShapeError, _integer
 
 __all__ = [
     "CostParams",
@@ -45,15 +45,15 @@ class CostParams:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Width N, depth L, and core count m."""
+    """Width N, depth L, and core count m, each a positive integer."""
 
     N: int
     L: int
     m: int
 
     def __post_init__(self):
-        if self.N < 1 or self.L < 1 or self.m < 1:
-            raise ShapeError("N, L, and m must all be at least 1")
+        for name in ("N", "L", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ShapeError))
 
 
 def _ln_width(n: int) -> float:

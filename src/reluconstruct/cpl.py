@@ -301,6 +301,7 @@ def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 200
     """
     if net.input_dim != 1:
         raise ShapeError("cpl_from_net_1d needs a 1-D network")
+    probe_count = _integer(probe_count, "probe_count")
     if probe_count < 3:
         raise ValueError("probe_count must be at least 3")
     return _extract_cpl(net, np.linspace(a, b, probe_count))

@@ -30,8 +30,8 @@ GRID_POINT_CAP = 256**3
 # bit-stable regardless of how callers parallelize around this module
 _CHUNK = 1 << 18
 # each chunk is evaluated in blocks of this many points: a block's
-# coordinates, table sum, target and network values (128 KiB per array) stay
-# in a 2 MiB per-core L2.  On a 2-core Xeon, verify-dd ran 7% faster with
+# coordinates, target and network values (128 KiB per array) stay in a
+# 2 MiB per-core L2.  On a 2-core Xeon, verify-dd ran 7% faster with
 # 2^14 than with 2^13, and 2^12 and 2^15 were slower still.
 _BLOCK = 1 << 14
 # a second weight matrix this close to rank 1 (relative to its largest
@@ -113,16 +113,14 @@ class _Midpoints:
         return (np.arange(lo, hi) + 0.5) / self.p
 
 
-def _chunks(grid: GridSpec, pts, tables=(), block: int = _BLOCK):
+def _chunks(grid: GridSpec, pts, block: int = _BLOCK):
     """Yield each ``_CHUNK`` of the grid as an iterator over its blocks.
 
-    A block is (points (k, d), table sum (k,) or None) for at most ``block``
-    consecutive flat positions, in C order; no block crosses a chunk
-    boundary.  ``pts`` are the grid's axis points (an array, or
-    ``_Midpoints`` for d = 1) and ``tables`` holds one length-p array per
-    axis.  Axis ``a`` of flat position ``q`` is
-    ``(q // p**(d-1-a)) % p``, so each per-axis array is laid out with
-    ``_repeat_axis``.  Tables add from the first axis up.
+    A block is the (k, d) points of at most ``block`` consecutive flat
+    positions, in C order; no block crosses a chunk boundary.  ``pts`` are
+    the grid's axis points (an array, or ``_Midpoints`` for d = 1).  Axis
+    ``a`` of flat position ``q`` is ``(q // p**(d-1-a)) % p``, so each
+    coordinate column is laid out with ``_repeat_axis``.
     """
     p, d = grid.points_per_axis, grid.d
     strides = [p ** (d - 1 - a) for a in range(d)]
@@ -130,27 +128,33 @@ def _chunks(grid: GridSpec, pts, tables=(), block: int = _BLOCK):
     def blocks(start, stop):
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)
-
-            def lay(v, a):
-                return _repeat_axis(v, strides[a], lo, hi)
-
-            z = sum(lay(t, a) for a, t in enumerate(tables)) if tables else None
-            yield np.stack([lay(pts, a) for a in range(d)], axis=1), z
+            yield np.stack([_repeat_axis(pts, strides[a], lo, hi) for a in range(d)], axis=1)
 
     for start in range(0, grid.total_points, _CHUNK):
         yield blocks(start, min(start + _CHUNK, grid.total_points))
+
+
+def _row_sums(lead, p: int, r0: int, r1: int) -> np.ndarray:
+    """``0 + lead[0][j_0] + ... + lead[-1][j_{d-2}]`` for grid rows ``r0..r1-1``.
+
+    Row ``r`` is the p points with ``j_a = (r // p**(d-2-a)) % p``.  The sum
+    adds from axis 0 up, as a per-point table sum does, from the integer 0.
+    """
+    e = len(lead)
+    return sum(_repeat_axis(t, p ** (e - 1 - a), r0, r1) for a, t in enumerate(lead))
 
 
 def _compile(net: ReluNetwork, pts: np.ndarray):
     """Per-axis tables and an outer 1-D CPL read from the weights alone.
 
     The network's value at grid point ``(pts[j_0], ..., pts[j_{d-1}])`` is
-    ``outer(sum_a tables[a][j_a])``.  For d = 1 the table is ``pts`` and
-    ``outer`` the whole network.  For d > 1 every first-layer row must see
-    one coordinate and the second weight matrix must be rank 1,
-    ``W2 = u v^T``: the tables are ``v . relu(W1 x + b1)`` split by axis and
-    ``outer`` is the 1-D network ``((u, b2), *layers[2:])``.  Returns None
-    when the weights have neither form.
+    ``outer(sum_a tables[a][j_a])``, the tables added from axis 0 up.  For
+    d = 1 the table is ``pts`` and ``outer`` the whole network.  For d > 1
+    every first-layer row must see one coordinate and the second weight
+    matrix must be rank 1, ``W2 = u v^T``: the tables are
+    ``v . relu(W1 x + b1)`` split by axis and ``outer`` is the 1-D network
+    ``((u, b2), *layers[2:])``.  Returns None when the weights have neither
+    form.
     """
     if net.input_dim == 1:
         return [pts], net_to_cpl_exact(net, 0.0, 1.0)
@@ -183,24 +187,43 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
 
     The network is compiled once (see ``_compile``) and each chunk is filled
     block by block into one buffer of this call, which the next chunk
-    overwrites.  A network without a compiled form is evaluated densely, one
-    block per chunk: its cost is the matrix product, which blocks do not cut.
+    overwrites.  For d > 1 a point's table sum is its row's leading sum
+    (``_row_sums``) plus its last-axis table entry, the same operands added
+    in the same order, so each chunk evaluates ``outer`` once per distinct
+    leading sum and last-axis index (at most ``_CHUNK / p + 2`` rows; the
+    psi encoder sorts each coordinate into a few cells, so rows repeat) and
+    its blocks read from that table.  A d = 1 grid is one row, so its blocks
+    go through ``np.interp`` as they come.  A network without a compiled
+    form is evaluated densely, one block per chunk: its cost is the matrix
+    product, which blocks do not cut.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    p = grid.points_per_axis
+    p, d = grid.points_per_axis, grid.d
     # d > 1 keeps its axis arrays: the grid cap leaves them at most 4096 points
-    pts = _Midpoints(p) if grid.d == 1 else (np.arange(p) + 0.5) / p
+    pts = _Midpoints(p) if d == 1 else (np.arange(p) + 0.5) / p
     tables, outer = _compile(net, pts) or ((), None)
     buf = np.empty(min(_CHUNK, grid.total_points))
-    for blocks in _chunks(grid, pts, tables, _CHUNK if outer is None else _BLOCK):
+    for c, blocks in enumerate(_chunks(grid, pts, _CHUNK if outer is None else _BLOCK)):
+        start = c * _CHUNK
+        if outer is not None and d > 1:
+            r0, r1 = start // p, (min(start + _CHUNK, grid.total_points) - 1) // p + 1
+            uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, r1), return_inverse=True)
+            rows = np.interp(uniq[:, None] + tables[-1], outer.breaks, outer.values)
         k = 0
-        for coords, z in blocks:
+        for coords in blocks:
             fv = np.asarray(f(coords), dtype=float)
             if fv.shape != (coords.shape[0],):
                 raise ShapeError("target must map (k, d) points to (k,) values")
-            nv = (evaluate_batch(net, coords) if outer is None
-                  else np.interp(z, outer.breaks, outer.values))
+            if outer is None:
+                nv = evaluate_batch(net, coords)
+            elif d == 1:
+                nv = np.interp(coords[:, 0], outer.breaks, outer.values)
+            else:
+                # the block starts lo points past the first point of row r0
+                lo = start % p + k
+                first, skip = divmod(lo, p)
+                nv = rows[inv[first:(lo + fv.size - 1) // p + 1]].ravel()[skip:skip + fv.size]
             err = buf[k:k + fv.size]
             np.abs(np.subtract(fv, nv, out=err), out=err)
             k += fv.size
@@ -243,13 +266,19 @@ def _cone(d: int, alpha: float, nu: float):
     def f(points: np.ndarray) -> np.ndarray:
         if points.ndim != 2 or points.shape[1] != d:
             raise ShapeError(f"the d = {d} cone takes (k, {d}) points")
-        # np.linalg.norm(points - 0.5, axis=1) bit for bit: the squares are
-        # added column by column in add.reduce's order, with no strided reduction
-        sq = 0.0
-        for a in range(d):
+        # nu * np.linalg.norm(points - 0.5, axis=1) ** alpha bit for bit: the
+        # squares are added column by column in add.reduce's order, with no
+        # strided reduction, in one array (0.0 + c*c is c*c)
+        sq = points[:, 0] - 0.5
+        sq *= sq
+        for a in range(1, d):
             c = points[:, a] - 0.5
-            sq = sq + c * c
-        return nu * np.sqrt(sq) ** alpha
+            c *= c
+            sq += c
+        np.sqrt(sq, out=sq)
+        np.power(sq, alpha, out=sq)
+        sq *= nu
+        return sq
 
     return f
 

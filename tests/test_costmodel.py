@@ -101,6 +101,18 @@ class TestProperties:
         with pytest.raises(ShapeError):
             ArchSpec(0, 1, 1)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3, 1), (True, 3, 1), (8, 3.0, 1), (8, 3, 1.5),
+                                       (8, False, 1), (8, 3, "4"), (8, -1, 1), (8, 3, 0)])
+    def test_sizes_must_be_positive_integers(self, sizes):
+        with pytest.raises(ShapeError):
+            ArchSpec(*sizes)
+
+    def test_numpy_integer_sizes_become_int(self):
+        a = ArchSpec(np.int64(8), np.int32(3), np.uint8(1))
+        assert (a.N, a.L, a.m) == (8, 3, 1)
+        assert all(type(v) is int for v in (a.N, a.L, a.m))
+        assert shared_time(a, P0) == shared_time(ArchSpec(8, 3, 1), P0)
+
 
 class TestRegimeTable:
     def test_fixed_width_family_large_m(self):

@@ -196,6 +196,19 @@ class TestCplFromNet:
         with pytest.raises(ValueError):
             cpl_from_net_1d(net, 0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("count", [3.5, 2001.0, True, "2001", None, 0, -5])
+    def test_probe_count_must_be_an_integer(self, count):
+        net = lemma1_interpolant(SampleSet([0.0, 1.0], [0.0, 0.0]))
+        with pytest.raises(ValueError, match="probe_count"):
+            cpl_from_net_1d(net, 0.0, 1.0, count)
+
+    def test_numpy_integer_probe_count(self):
+        net = lemma1_interpolant(SampleSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
+        got = cpl_from_net_1d(net, 0.0, 1.0, np.int64(201))
+        want = cpl_from_net_1d(net, 0.0, 1.0, 201)
+        assert np.array_equal(got.breaks, want.breaks)
+        assert np.array_equal(got.values, want.values)
+
 
 class TestCplJson:
     def test_round_trip(self):

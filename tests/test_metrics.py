@@ -314,7 +314,7 @@ class TestGridErrors:
     @MIDPOINT
     def test_several_chunks(self, quadrature):
         grid = GridSpec(1, 3 * 2**18 + 7)
-        blocks = [[len(c) for c, _ in chunk] for chunk in metrics._chunks(grid, midpoints(grid))]
+        blocks = [[len(c) for c in chunk] for chunk in metrics._chunks(grid, midpoints(grid))]
         full = [metrics._BLOCK] * (metrics._CHUNK // metrics._BLOCK)
         assert blocks == [full] * 3 + [[7]]
         f, net = tilted(1), build_1d(cone(1), 8).net
@@ -373,15 +373,14 @@ LAYOUT_GRIDS = [(2, 600), (3, 70), (4, 25), (1, 2**18 + 5)]
 
 class TestChunkLayout:
     """Each chunk is laid out in blocks; the blocks of a chunk, joined, are
-    that chunk of the per-point reference."""
+    that chunk of the per-point reference, and a point's row sum plus its
+    last-axis table entry is its per-point table sum."""
 
     @MIDPOINT
     @pytest.mark.parametrize("d,p", LAYOUT_GRIDS)
     def test_matches_per_point_reference(self, d, p, quadrature):
         grid = GridSpec(d, p)
         assert metrics._CHUNK % p != 0
-        rng = np.random.default_rng(p)
-        tables = [rng.normal(size=p) for _ in range(d)]
         pts = midpoints(grid)
         want = list(reference_chunks(grid))
         assert len(want) >= 2
@@ -389,19 +388,34 @@ class TestChunkLayout:
         # boundaries inside a row (and, for d >= 3, inside a plane)
         assert all(sizes[-1] < 1000 for sizes in block_sizes(grid, 1000))
         for block in (metrics._BLOCK, 1000):
-            got = list(metrics._chunks(grid, pts, tables, block))
+            got = list(metrics._chunks(grid, pts, block))
             assert len(got) == len(want)
             sizes = block_sizes(grid, block)
-            for blocks, (ref_coords, ref_weights, axes), chunk_sizes in zip(got, want, sizes):
+            for blocks, (ref_coords, ref_weights, _), chunk_sizes in zip(got, want, sizes):
                 blocks = list(blocks)
-                assert [len(coords) for coords, _ in blocks] == chunk_sizes
-                for coords, z in blocks:
-                    assert coords.shape == (len(z), d) and coords.flags.c_contiguous
-                assert np.array_equal(np.concatenate([c for c, _ in blocks]), ref_coords)
+                assert [len(coords) for coords in blocks] == chunk_sizes
+                for coords in blocks:
+                    assert coords.shape[1] == d and coords.flags.c_contiguous
+                assert np.array_equal(np.concatenate(blocks), ref_coords)
                 assert np.all(ref_weights == point_weight(grid))
-                assert np.array_equal(np.concatenate([z for _, z in blocks]),
-                                      sum(t[j] for t, j in zip(tables, axes.T)))
-        assert all(z is None for chunk in metrics._chunks(grid, pts) for _, z in chunk)
+
+    @pytest.mark.parametrize("d,p", LAYOUT_GRIDS[:3])
+    def test_row_sum_plus_last_table_is_the_per_point_sum(self, d, p):
+        # random tables with both signs and some -0.0 entries, which the
+        # integer start of either sum turns into +0.0
+        rng = np.random.default_rng(p)
+        tables = [rng.normal(size=p) for _ in range(d)]
+        for t in tables:
+            t[::7] = -0.0
+        grid = GridSpec(d, p)
+        for c, (_, _, axes) in enumerate(reference_chunks(grid)):
+            q = c * metrics._CHUNK + np.arange(len(axes))
+            r0, r1 = q[0] // p, q[-1] // p + 1
+            lead = metrics._row_sums(tables[:-1], p, r0, r1)
+            assert lead.shape == (r1 - r0,) and not np.any(np.signbit(lead) & (lead == 0))
+            got = lead[q // p - r0] + tables[-1][q % p]
+            want = sum(t[j] for t, j in zip(tables, axes.T))
+            assert got.tobytes() == want.tobytes()
 
     @MIDPOINT
     @pytest.mark.parametrize("case", ["compiled", "dense"])
@@ -415,6 +429,75 @@ class TestChunkLayout:
         grid, f = GridSpec(d, p), tilted(d)
         assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
         assert (len(calls) > 0) == (case == "dense")
+
+
+def rank1_net(rng, d, width=8):
+    """A compiled-form network with random tables: every first-layer row sees
+    one coordinate and the second weight matrix is rank 1, so its leading
+    sums differ on every grid row."""
+    w1 = np.zeros((width * d, d))
+    w1[np.arange(width * d), np.arange(width * d) % d] = rng.normal(size=width * d)
+    w2 = np.outer(rng.normal(size=5), rng.normal(size=width * d))
+    return ReluNetwork(d, ((w1, rng.normal(size=width * d)), (w2, rng.normal(size=5)),
+                           (rng.normal(size=(1, 5)), rng.normal(size=1))))
+
+
+def record_row_tables(monkeypatch):
+    """Shapes of the 2-D ``np.interp`` calls: the per-chunk row tables."""
+    shapes, interp = [], np.interp
+
+    def recording(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", recording)
+    return shapes
+
+
+def rows_spanned(grid):
+    """Per chunk, the number of grid rows its points touch."""
+    p, total = grid.points_per_axis, grid.total_points
+    return [(min(start + metrics._CHUNK, total) - 1) // p - start // p + 1
+            for start in range(0, total, metrics._CHUNK)]
+
+
+class TestRowTable:
+    """A d > 1 chunk evaluates the network once per distinct grid row; every
+    error equals the per-point table sum's to the last bit."""
+
+    # chunk boundaries fall inside a row at every p here but 64
+    @MIDPOINT
+    @pytest.mark.parametrize("d,p", [(2, 1024), (2, 777), (2, 333), (3, 64), (3, 50)])
+    def test_build_dd_equals_per_point_reference(self, d, p, quadrature, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        shapes = record_row_tables(monkeypatch)
+        grid, net = GridSpec(d, p), build_dd(cone(d), 16 if d == 2 else 27).net
+        for f in (cone(d), tilted(d)):
+            assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
+        assert calls == []
+        # the psi encoder sorts each coordinate into a few cells, so rows
+        # repeat: each of the two passes tables under a quarter of its rows
+        assert len(shapes) == 2 * len(rows_spanned(grid))
+        assert sum(rows for rows, _ in shapes) * 4 < 2 * sum(rows_spanned(grid))
+
+    @MIDPOINT
+    @pytest.mark.parametrize("d,p", [(2, 1024), (2, 333), (3, 50)])
+    def test_rows_that_never_repeat(self, d, p, quadrature, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        shapes = record_row_tables(monkeypatch)
+        net, grid = rank1_net(np.random.default_rng(d * p), d), GridSpec(d, p)
+        assert grid_errors(tilted(d), net, grid) == reference_errors(tilted(d), net, grid)
+        assert calls == []
+        assert shapes == [(rows, p) for rows in rows_spanned(grid)]
+
+    @pytest.mark.parametrize("d,p", [(2, 777), (2, 4096), (3, 50), (3, 256)])
+    def test_table_size_bound(self, d, p, monkeypatch):
+        shapes = record_row_tables(monkeypatch)
+        grid = GridSpec(d, p)
+        grid_errors(cone(d), rank1_net(np.random.default_rng(p), d), grid)
+        assert len(shapes) == len(rows_spanned(grid))
+        assert all(rows <= metrics._CHUNK // p + 2 and width == p for rows, width in shapes)
 
 
 class TestBlockEdges:
