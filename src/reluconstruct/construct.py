@@ -350,8 +350,8 @@ class HolderTarget:
         object.__setattr__(self, "d", _integer(self.d, "d", ShapeError))
         if not 0 < self.alpha <= 1:
             raise CertificateError("alpha must lie in (0, 1]")
-        if not self.nu > 0:
-            raise CertificateError("nu must be positive")
+        if not 0 < self.nu < np.inf:
+            raise CertificateError("nu must be positive and finite")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         out = np.asarray(self.f(np.asarray(points, dtype=float)), dtype=float)

@@ -63,6 +63,14 @@ COMPILE_BLOCK = 512
 SLIVER_BLOCK = 64
 
 
+def _interval(a, b) -> tuple[float, float]:
+    """``(a, b)`` as floats, refused unless finite with ``a < b``."""
+    a, b = float(a), float(b)
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"interval must be finite with a < b, got [{a!r}, {b!r}]")
+    return a, b
+
+
 def _check_increasing(xs, what):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
@@ -222,9 +230,8 @@ def exact_l1_cpl(f: CplFunction, g: CplFunction, a: float, b: float) -> float:
     difference on each merged segment, and integrates the triangles and
     trapezoids in closed form.
     """
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    pts = _merged_breaks(f, g, float(a), float(b))
+    a, b = _interval(a, b)
+    pts = _merged_breaks(f, g, a, b)
     h = eval_cpl(f, pts) - eval_cpl(g, pts)
     h0, h1 = h[:-1], h[1:]
     widths = np.diff(pts)
@@ -304,6 +311,7 @@ def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 200
     probe_count = _integer(probe_count, "probe_count")
     if probe_count < 3:
         raise ValueError("probe_count must be at least 3")
+    a, b = _interval(a, b)
     return _extract_cpl(net, np.linspace(a, b, probe_count))
 
 
@@ -357,9 +365,8 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     """
     if net.input_dim != 1:
         raise ShapeError("net_to_cpl_exact needs a 1-D network")
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    breaks = np.array([float(a), float(b)])
+    a, b = _interval(a, b)
+    breaks = np.array([a, b])
     vals = breaks[None, :]  # one "unit": the identity
     *hidden, (w_out, b_out) = net.layers
     if not hidden:
@@ -455,6 +462,7 @@ def _sliver_block(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
 
 def cpl_sup(f: CplFunction, a: float, b: float) -> float:
     """Exact ``sup |f|`` over ``[a, b]`` (attained at a break or an endpoint)."""
+    a, b = _interval(a, b)
     inside = f.breaks[(f.breaks > a) & (f.breaks < b)]
     pts = np.concatenate((np.array([a, b], dtype=float), inside))
     return float(np.max(np.abs(eval_cpl(f, pts))))

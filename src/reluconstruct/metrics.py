@@ -95,43 +95,18 @@ def _repeat_axis(v: np.ndarray, stride: int, start: int, stop: int) -> np.ndarra
     return np.repeat(run, counts)
 
 
-@dataclass(frozen=True)
-class _Midpoints:
-    """The axis points ``(i + 0.5) / p`` of a d = 1 grid, made per slice.
+def _coords(grid: GridSpec, pts: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, d) points of flat positions ``lo..hi-1``, in C order.
 
-    Slicing gives ``(arange(lo, hi) + 0.5) / p``, bit for bit the slice of
-    the whole array, so a d = 1 pass holds its blocks and never the grid.
-    """
-
-    p: int
-
-    def __len__(self) -> int:
-        return self.p
-
-    def __getitem__(self, index: slice) -> np.ndarray:
-        lo, hi, _ = index.indices(self.p)
-        return (np.arange(lo, hi) + 0.5) / self.p
-
-
-def _chunks(grid: GridSpec, pts, block: int = _BLOCK):
-    """Yield each ``_CHUNK`` of the grid as an iterator over its blocks.
-
-    A block is the (k, d) points of at most ``block`` consecutive flat
-    positions, in C order; no block crosses a chunk boundary.  ``pts`` are
-    the grid's axis points (an array, or ``_Midpoints`` for d = 1).  Axis
-    ``a`` of flat position ``q`` is ``(q // p**(d-1-a)) % p``, so each
-    coordinate column is laid out with ``_repeat_axis``.
+    Axis ``a`` of flat position ``q`` is ``(q // p**(d-1-a)) % p``, so each
+    coordinate column is ``pts``, the axis points, laid out with
+    ``_repeat_axis``.  A d = 1 block is ``(arange(lo, hi) + 0.5) / p``, bit
+    for bit that slice of the axis points, so d = 1 needs no axis array.
     """
     p, d = grid.points_per_axis, grid.d
-    strides = [p ** (d - 1 - a) for a in range(d)]
-
-    def blocks(start, stop):
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            yield np.stack([_repeat_axis(pts, strides[a], lo, hi) for a in range(d)], axis=1)
-
-    for start in range(0, grid.total_points, _CHUNK):
-        yield blocks(start, min(start + _CHUNK, grid.total_points))
+    if d == 1:
+        return ((np.arange(lo, hi) + 0.5) / p)[:, None]
+    return np.stack([_repeat_axis(pts, p ** (d - 1 - a), lo, hi) for a in range(d)], axis=1)
 
 
 def _row_sums(lead, p: int, r0: int, r1: int) -> np.ndarray:
@@ -144,20 +119,20 @@ def _row_sums(lead, p: int, r0: int, r1: int) -> np.ndarray:
     return sum(_repeat_axis(t, p ** (e - 1 - a), r0, r1) for a, t in enumerate(lead))
 
 
-def _compile(net: ReluNetwork, pts: np.ndarray):
+def _compile(net: ReluNetwork, pts: np.ndarray | None):
     """Per-axis tables and an outer 1-D CPL read from the weights alone.
 
     The network's value at grid point ``(pts[j_0], ..., pts[j_{d-1}])`` is
     ``outer(sum_a tables[a][j_a])``, the tables added from axis 0 up.  For
-    d = 1 the table is ``pts`` and ``outer`` the whole network.  For d > 1
-    every first-layer row must see one coordinate and the second weight
-    matrix must be rank 1, ``W2 = u v^T``: the tables are
-    ``v . relu(W1 x + b1)`` split by axis and ``outer`` is the 1-D network
-    ``((u, b2), *layers[2:])``.  Returns None when the weights have neither
-    form.
+    d = 1 there is no table: ``outer`` is the whole network, applied to the
+    coordinate itself, and ``pts`` is not read.  For d > 1 every first-layer
+    row must see one coordinate and the second weight matrix must be rank 1,
+    ``W2 = u v^T``: the tables are ``v . relu(W1 x + b1)`` split by axis and
+    ``outer`` is the 1-D network ``((u, b2), *layers[2:])``.  Returns None
+    when the weights have neither form.
     """
     if net.input_dim == 1:
-        return [pts], net_to_cpl_exact(net, 0.0, 1.0)
+        return (), net_to_cpl_exact(net, 0.0, 1.0)
     if len(net.layers) < 2:
         return None
     (w1, b1), (w2, b2) = net.layers[:2]
@@ -183,51 +158,52 @@ def _compile(net: ReluNetwork, pts: np.ndarray):
 
 
 def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
-    """Yield ``|f - net|`` per chunk of ``_chunks``, in its order.
+    """Yield ``|f - net|`` per ``_CHUNK`` of the grid, in C order.
 
-    The network is compiled once (see ``_compile``) and each chunk is filled
-    block by block into one buffer of this call, which the next chunk
-    overwrites.  For d > 1 a point's table sum is its row's leading sum
-    (``_row_sums``) plus its last-axis table entry, the same operands added
-    in the same order, so each chunk evaluates ``outer`` once per distinct
-    leading sum and last-axis index (at most ``_CHUNK / p + 2`` rows; the
-    psi encoder sorts each coordinate into a few cells, so rows repeat) and
-    its blocks read from that table.  A d = 1 grid is one row, so its blocks
-    go through ``np.interp`` as they come.  A network without a compiled
-    form is evaluated densely, one block per chunk: its cost is the matrix
-    product, which blocks do not cut.
+    The network is compiled once (see ``_compile``).  Each chunk is walked in
+    blocks of ``_BLOCK`` points (see ``_coords``), whose coordinates, target
+    and network values stay in cache, and filled into one buffer of this
+    call, which the next chunk overwrites.  For d > 1 a point's table sum is
+    its row's leading sum (``_row_sums``) plus its last-axis table entry, the
+    same operands added in the same order, so each chunk evaluates ``outer``
+    once per distinct leading sum and last-axis index (at most
+    ``_CHUNK / p + 2`` rows; the psi encoder sorts each coordinate into a few
+    cells, so rows repeat) and its blocks read from that table.  A d = 1 grid
+    is one row, so its blocks go through ``np.interp`` as they come.  A
+    network without a compiled form goes through ``evaluate_batch`` block by
+    block, so its activations are ``_BLOCK`` rows, not the chunk's.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    p, d = grid.points_per_axis, grid.d
-    # d > 1 keeps its axis arrays: the grid cap leaves them at most 4096 points
-    pts = _Midpoints(p) if d == 1 else (np.arange(p) + 0.5) / p
+    p, d, total = grid.points_per_axis, grid.d, grid.total_points
+    # the grid cap leaves a d > 1 axis at most 4096 points
+    pts = None if d == 1 else (np.arange(p) + 0.5) / p
     tables, outer = _compile(net, pts) or ((), None)
-    buf = np.empty(min(_CHUNK, grid.total_points))
-    for c, blocks in enumerate(_chunks(grid, pts, _CHUNK if outer is None else _BLOCK)):
-        start = c * _CHUNK
-        if outer is not None and d > 1:
-            r0, r1 = start // p, (min(start + _CHUNK, grid.total_points) - 1) // p + 1
-            uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, r1), return_inverse=True)
+    buf = np.empty(min(_CHUNK, total))
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        if tables:
+            r0 = start // p
+            uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, (stop - 1) // p + 1),
+                                  return_inverse=True)
             rows = np.interp(uniq[:, None] + tables[-1], outer.breaks, outer.values)
-        k = 0
-        for coords in blocks:
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            coords = _coords(grid, pts, lo, hi)
             fv = np.asarray(f(coords), dtype=float)
-            if fv.shape != (coords.shape[0],):
+            if fv.shape != (hi - lo,):
                 raise ShapeError("target must map (k, d) points to (k,) values")
             if outer is None:
                 nv = evaluate_batch(net, coords)
             elif d == 1:
                 nv = np.interp(coords[:, 0], outer.breaks, outer.values)
             else:
-                # the block starts lo points past the first point of row r0
-                lo = start % p + k
-                first, skip = divmod(lo, p)
-                nv = rows[inv[first:(lo + fv.size - 1) // p + 1]].ravel()[skip:skip + fv.size]
-            err = buf[k:k + fv.size]
+                # rows r0 + first.. of the table hold the block, from column lo % p
+                first = lo // p - r0
+                nv = rows[inv[first:(hi - 1) // p - r0 + 1]].ravel()[lo % p:lo % p + hi - lo]
+            err = buf[lo - start:hi - start]
             np.abs(np.subtract(fv, nv, out=err), out=err)
-            k += fv.size
-        yield buf[:k]
+        yield buf[:stop - start]
 
 
 def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
@@ -236,13 +212,16 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
     point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
     the grid points, a lower bound on the true sup.  The target is called on
-    blocks of at most ``_BLOCK`` points (one per chunk for a network without
-    a compiled form), in C order; both reductions run per ``_CHUNK``.
+    blocks of at most ``_BLOCK`` points, in C order; both reductions run per
+    ``_CHUNK``.  A NaN error anywhere raises ``ValueError``.
     """
     weight = math.prod([1.0 / grid.points_per_axis] * grid.d)
     total, worst = 0.0, 0.0
     for err in _abs_errors(f, net, grid):
-        worst = max(worst, float(np.max(err)))
+        top = float(np.max(err))
+        if math.isnan(top):
+            raise ValueError("target or network is NaN on the grid")
+        worst = max(worst, top)
         err *= weight  # the chunk buffer, which the next chunk overwrites
         total += float(np.sum(err))
     return total, worst
@@ -330,13 +309,11 @@ class RateFit:
 
 def rate_fit(pairs) -> RateFit:
     """Fit the empirical rate exponent; errors must be finite and strictly positive."""
-    pairs = tuple((int(n), float(e)) for n, e in pairs)
+    pairs = tuple((_integer(n, "N"), float(e)) for n, e in pairs)
     if len(pairs) < 2:
         raise ShapeError("rate fitting needs at least two (N, error) pairs")
     if not all(np.isfinite(e) and e > 0 for _, e in pairs):
         raise ValueError("rate fitting needs finite, strictly positive errors")
-    if any(n < 1 for n, _ in pairs):
-        raise ValueError("rate fitting needs positive N")
     x = np.log([n for n, _ in pairs])
     y = np.log([e for _, e in pairs])
     slope, intercept = np.polyfit(x, y, 1)

@@ -214,6 +214,26 @@ class TestSweep:
                     "--out", tmp_path / "s.csv"]) == 0
         assert passes == [5000] * 3
 
+    def test_nan_target_recorded_as_error(self, tmp_path, monkeypatch):
+        # NaN at one grid point of the second chunk, which no build samples
+        grid_points = metrics._CHUNK + 1000
+        bad = (metrics._CHUNK + 5.5) / grid_points
+        cone = holder_family("cone", 1, 0.5, 1.0)
+
+        def f(points):
+            out = cone(points)
+            out[points[:, 0] == bad] = float("nan")
+            return out
+
+        monkeypatch.setattr(cli, "holder_family", lambda *a: cli.HolderTarget(f, 1, 0.5, 1.0))
+        out, summary = tmp_path / "s.csv", tmp_path / "summary.json"
+        assert run(["sweep", "--d", "1", "--alpha", "0.5", "--N", "4", "8", "16",
+                    "--grid-points", grid_points, "--out", out, "--summary", summary]) == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [r["pass"] for r in rows] == ["error: ValueError: target or network is NaN "
+                                             "on the grid"] * 3
+        assert json.loads(summary.read_text())["partial"] is True
+
     def test_cells_equal_single_metrics(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sweep", "--d", "1", "--alpha", "0.6", "--N", "4", "8", "16",
@@ -386,6 +406,15 @@ class TestUsageErrors:
                           "--delta-mode", mode, "--delta-target", target])
         assert code == 2
         assert "target must be None or lie in (0, inf)" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_nu(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        code = exit_code(["construct", "--N", "4", "--nu", "inf", "--out", tmp_path / "x.json"])
+        assert code == 2
+        assert "nu must be positive and finite" in capsys.readouterr().err
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 

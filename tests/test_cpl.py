@@ -40,6 +40,11 @@ def segment_is_linear(net, a, b, tol=1e-8):
     return np.max(np.abs(d2)) <= tol * scale
 
 
+# reversed, empty, infinite and NaN ends: each is refused before any arithmetic
+# (the tests turn warnings into errors)
+BAD_INTERVALS = [(1.0, 0.0), (0.5, 0.5), (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)]
+
+
 class TestEvalCpl:
     def test_identity_segment(self):
         f = CplFunction([0.0, 1.0], [0.0, 1.0])
@@ -141,10 +146,12 @@ class TestExactL1:
         zero = CplFunction([0.0, 1.0], [0.0, 0.0])
         assert exact_l1_cpl(f, zero, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error")
     def test_interval_order_required(self):
         f = CplFunction([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            exact_l1_cpl(f, f, 1.0, 0.0)
+        for a, b in BAD_INTERVALS:
+            with pytest.raises(ValueError, match="interval must be finite"):
+                exact_l1_cpl(f, f, a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(cpl_strategy(), cpl_strategy())
@@ -163,6 +170,13 @@ class TestExactL1:
 
 
 class TestCplFromNet:
+    @pytest.mark.filterwarnings("error")
+    def test_interval_checked(self):
+        net = lemma1_interpolant(SampleSet([0.0, 1.0], [0.0, 1.0]))
+        for a, b in BAD_INTERVALS:
+            with pytest.raises(ValueError, match="interval must be finite"):
+                cpl_from_net_1d(net, a, b)
+
     def test_relu_kink_found(self):
         net = lemma1_interpolant(SampleSet([0.0, 1.0], [0.0, 1.0]))
         # widen the domain so the kink at 0 is interior
@@ -228,6 +242,13 @@ class TestCplJson:
 
 
 class TestCplSup:
+    @pytest.mark.filterwarnings("error")
+    def test_interval_checked(self):
+        f = CplFunction([0.0, 1.0], [0.0, 1.0])
+        for a, b in BAD_INTERVALS:
+            with pytest.raises(ValueError, match="interval must be finite"):
+                cpl_sup(f, a, b)
+
     @staticmethod
     def loop_sup(f, a, b):
         pts = [a, b] + [x for x in f.breaks if a < x < b]
@@ -249,6 +270,13 @@ class TestCplSup:
 
 
 class TestNetToCplExact:
+    @pytest.mark.filterwarnings("error")
+    def test_interval_checked(self):
+        net = lemma1_interpolant(SampleSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
+        for a, b in BAD_INTERVALS:
+            with pytest.raises(ValueError, match="interval must be finite"):
+                net_to_cpl_exact(net, a, b)
+
     def test_agrees_with_probe_extraction(self):
         rng = np.random.default_rng(23)
         xs = np.cumsum(rng.uniform(0.05, 0.2, 9))

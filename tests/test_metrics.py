@@ -313,12 +313,32 @@ class TestGridErrors:
 
     @MIDPOINT
     def test_several_chunks(self, quadrature):
-        grid = GridSpec(1, 3 * 2**18 + 7)
-        blocks = [[len(c) for c in chunk] for chunk in metrics._chunks(grid, midpoints(grid))]
-        full = [metrics._BLOCK] * (metrics._CHUNK // metrics._BLOCK)
-        assert blocks == [full] * 3 + [[7]]
-        f, net = tilted(1), build_1d(cone(1), 8).net
-        assert grid_errors(f, net, grid) == two_pass_reference(f, net, grid)
+        seen = []
+
+        def recording(points):
+            seen.append(len(points))
+            return tilted(1)(points)
+
+        grid, net = GridSpec(1, 3 * 2**18 + 7), build_1d(cone(1), 8).net
+        got = grid_errors(recording, net, grid)
+        assert seen == [metrics._BLOCK] * (3 * metrics._CHUNK // metrics._BLOCK) + [7]
+        assert got == two_pass_reference(tilted(1), net, grid)
+
+    @pytest.mark.parametrize("d,p", [(1, 2**18 + 1000), (2, 600)])
+    def test_nan_in_a_later_chunk_raises(self, d, p):
+        # one NaN in the second chunk: a running max(0.0, nan) would drop it
+        grid = GridSpec(d, p)
+        q = metrics._CHUNK + 5
+        bad = (np.array([q // p, q % p][2 - d:]) + 0.5) / p
+
+        def f(points):
+            out = tilted(d)(points)
+            out[np.all(points == bad, axis=1)] = np.nan
+            return out
+
+        net = build_1d(cone(1), 8).net if d == 1 else build_dd(cone(2), 9).net
+        with pytest.raises(ValueError, match="NaN"):
+            grid_errors(f, net, grid)
 
 
 def reference_chunks(grid):
@@ -348,8 +368,9 @@ def reference_errors(f, net, grid):
         if compiled is None:
             nv = evaluate_batch(net, coords)
         else:
+            # a d = 1 network is compiled with no table: its CPL takes x itself
             tables, outer = compiled
-            z = sum(t[j] for t, j in zip(tables, axes.T))
+            z = sum(t[j] for t, j in zip(tables, axes.T)) if tables else coords[:, 0]
             nv = np.interp(z, outer.breaks, outer.values)
         err = np.abs(f(coords) - nv)
         total += float(np.sum(err * weights))
@@ -381,21 +402,23 @@ class TestChunkLayout:
     def test_matches_per_point_reference(self, d, p, quadrature):
         grid = GridSpec(d, p)
         assert metrics._CHUNK % p != 0
-        pts = midpoints(grid)
+        # a d = 1 block is laid out from its index range, with no axis array
+        pts = None if d == 1 else midpoints(grid)
         want = list(reference_chunks(grid))
         assert len(want) >= 2
         # 1000 points leave a partial last block in every chunk and put block
         # boundaries inside a row (and, for d >= 3, inside a plane)
         assert all(sizes[-1] < 1000 for sizes in block_sizes(grid, 1000))
         for block in (metrics._BLOCK, 1000):
-            got = list(metrics._chunks(grid, pts, block))
-            assert len(got) == len(want)
             sizes = block_sizes(grid, block)
-            for blocks, (ref_coords, ref_weights, _), chunk_sizes in zip(got, want, sizes):
-                blocks = list(blocks)
-                assert [len(coords) for coords in blocks] == chunk_sizes
-                for coords in blocks:
-                    assert coords.shape[1] == d and coords.flags.c_contiguous
+            assert len(sizes) == len(want)
+            for c, ((ref_coords, ref_weights, _), chunk_sizes) in enumerate(zip(want, sizes)):
+                blocks, lo = [], c * metrics._CHUNK
+                for size in chunk_sizes:
+                    blocks.append(metrics._coords(grid, pts, lo, lo + size))
+                    lo += size
+                for coords, size in zip(blocks, chunk_sizes):
+                    assert coords.shape == (size, d) and coords.flags.c_contiguous
                 assert np.array_equal(np.concatenate(blocks), ref_coords)
                 assert np.all(ref_weights == point_weight(grid))
 
@@ -517,7 +540,7 @@ class TestBlockEdges:
         assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
         assert calls == []
 
-    def test_dense_fallback_takes_one_block_per_chunk(self, monkeypatch):
+    def test_dense_fallback_takes_one_call_per_block(self, monkeypatch):
         seen = []
 
         def recording(points):
@@ -528,7 +551,21 @@ class TestBlockEdges:
         net = random_net(np.random.default_rng(2), 2, 2)
         calls = count_dense_calls(monkeypatch)
         assert grid_errors(recording, net, grid) == reference_errors(tilted(2), net, grid)
-        assert calls == seen == [metrics._CHUNK, grid.total_points - metrics._CHUNK]
+        assert calls == seen == sum(block_sizes(grid, metrics._BLOCK), [])
+
+    def test_dense_fallback_holds_blocks_not_chunks(self):
+        # 2^18 x 64 activation matrices took 266 MiB traced
+        rng = np.random.default_rng(3)
+        dims = [2, 64, 64, 1]
+        net = ReluNetwork(2, tuple((rng.normal(size=(o, i)), rng.normal(size=o))
+                                   for i, o in zip(dims, dims[1:])))
+        tracemalloc.start()
+        try:
+            grid_errors(cone(2), net, GridSpec(2, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_d1_pass_holds_blocks_not_the_grid(self, monkeypatch):
         # 2^22 points: the whole axis array and its arange took 64 MiB
@@ -542,12 +579,11 @@ class TestBlockEdges:
         assert peak < 8 * 2**20
         # the slice of the whole axis array (finite and positive: equal
         # values are equal bits)
-        pts = metrics._Midpoints(grid.points_per_axis)
-        assert len(pts) == grid.points_per_axis
+        whole = midpoints(grid)
         for lo, hi in ((0, 7), (2**21 - 3, 2**21 + 5), (2**22 - 9, 2**22)):
-            assert np.array_equal(pts[lo:hi], midpoints(grid)[lo:hi])
+            assert np.array_equal(metrics._coords(grid, None, lo, hi)[:, 0], whole[lo:hi])
         # and the errors of the whole-array layout
-        monkeypatch.setattr(metrics, "_Midpoints", lambda p: (np.arange(p) + 0.5) / p)
+        monkeypatch.setattr(metrics, "_coords", lambda grid, pts, lo, hi: whole[lo:hi, None])
         assert got == grid_errors(f, net, grid)
 
     def test_concurrent_calls_equal_serial(self):
@@ -638,7 +674,7 @@ class TestHolderFamily:
         with pytest.raises(CertificateError):
             holder_family("cone", 1, 1.5, 1.0)
 
-    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
     def test_nu_must_be_positive(self, nu):
         with pytest.raises(CertificateError, match="nu must be positive"):
             holder_family("cone", 1, 1.0, nu)
@@ -680,3 +716,15 @@ class TestRateFit:
     def test_too_few_pairs(self):
         with pytest.raises(ShapeError):
             rate_fit([(2, 0.1)])
+
+    @pytest.mark.parametrize("n, message", [(2.5, "must be an integer"),
+                                            (4.0, "must be an integer"),
+                                            (True, "must be an integer"),
+                                            (0, "must be a positive integer")])
+    def test_n_must_be_a_positive_integer(self, n, message):
+        with pytest.raises(ValueError, match="N " + message):
+            rate_fit([(n, 0.1), (4, 0.05), (8, 0.02)])
+
+    def test_numpy_integer_n(self):
+        pairs = [(2, 0.1), (4, 0.05), (8, 0.02)]
+        assert rate_fit([(np.int64(n), e) for n, e in pairs]) == rate_fit(pairs)
