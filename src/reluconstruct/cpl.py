@@ -4,17 +4,15 @@ Holds the CPL value type, its one-hidden-layer ReLU realization (all-ones
 first layer, biases at the break points, output weights from secant-slope
 differences), exact piecewise L1 integration used as a test oracle, and two
 ways to recover a CPL view of a 1-D network: black-box probing with slope
-detection, and exact layer-by-layer propagation, whose refinement of every
-unit onto the growing break mesh reproduces ``np.interp`` bit for bit
-(``_Mesh``, used by that compile alone: the two-hidden-layer interpolant
-evaluates its stages on its own block layout).  The compile takes the last
-hidden layer ``COMPILE_BLOCK`` new breaks at a time, straight into the
-output values, so its memory is O(breaks + units x COMPILE_BLOCK) rather
-than units x breaks.  A third path measures
-without a CPL view: ``_sliver_l1`` integrates a two-hidden-layer network
-against a secant on many intervals free of first-layer kinks at once, from
-the second-layer zero crossings; it is tested against the exact compile of
-each interval.
+detection, and exact layer-by-layer propagation (each unit refined onto the
+growing mesh with ``np.interp``'s arithmetic by ``_Mesh``).  Where the
+layers before the last hidden one are linear, the output's kinks are that
+layer's zero crossings; one pass, ``_last_layer``, finds them and the values
+there by accumulating slope jumps.  The exact compile runs it on the
+segments its earlier layers build, and ``_sliver_l1`` on many intervals
+free of first-layer kinks at once, to integrate a two-hidden-layer network
+against a secant with no CPL view.  Both take ``SEGMENT_BLOCK`` segments at
+a time.
 """
 
 from __future__ import annotations
@@ -50,17 +48,9 @@ MIN_BREAK_GAP = 1e-13
 # relative slope change between adjacent probe segments that flags a kink
 SLOPE_TOL = 1e-6
 
-# new breaks per block of net_to_cpl_exact's last hidden layer (the last block
-# takes the remainder): a few (units x block) arrays, 2-4 MiB each at N = 256,
-# where 512 compiled faster than 128, 1024 or 4096 on a 2-core Xeon.  BLAS
-# takes a product's columns in groups and the leftover ones by another
-# kernel, so a multiple of 16, and no narrower block, rounds every column as
-# the whole product does (tested bit for bit at one BLAS thread).
-COMPILE_BLOCK = 512
-
-# intervals per pass of _sliver_l1: at N = 256 a pass holds a few
-# (2N+1) x SLIVER_BLOCK arrays, under the lemma-2 fit's own working set
-SLIVER_BLOCK = 64
+# segments per pass of _last_layer: at N = 256 a pass holds a few
+# (2N+1) x SEGMENT_BLOCK arrays, under the lemma-2 fit's own working set
+SEGMENT_BLOCK = 64
 
 
 def _interval(a, b) -> tuple[float, float]:
@@ -195,7 +185,7 @@ def lemma1_interpolant(samples: SampleSet) -> ReluNetwork:
 
 
 def _thin_breaks(pts: np.ndarray) -> np.ndarray:
-    """The sorted distinct ``pts`` from ``a = pts[0]`` to ``b = pts[-1]``, thinned.
+    """The mask that thins the sorted distinct ``pts`` from ``a = pts[0]`` to ``b = pts[-1]``.
 
     Keeps ``a`` and ``b``.  An interior point is kept when it lies more than
     the gap ``MIN_BREAK_GAP * max(1, |a|, |b|)`` beyond the last kept point
@@ -215,12 +205,13 @@ def _thin_breaks(pts: np.ndarray) -> np.ndarray:
             keep[i], last = True, pts[i]
     keep &= b - pts > gap
     keep[[0, -1]] = True
-    return pts[keep]
+    return keep
 
 
 def _merged_breaks(f: CplFunction, g: CplFunction, a: float, b: float):
     pts = np.unique(np.concatenate(([a, b], f.breaks, g.breaks)))
-    return _thin_breaks(pts[(pts >= a) & (pts <= b)])
+    pts = pts[(pts >= a) & (pts <= b)]
+    return pts[_thin_breaks(pts)]
 
 
 def exact_l1_cpl(f: CplFunction, g: CplFunction, a: float, b: float) -> float:
@@ -233,16 +224,18 @@ def exact_l1_cpl(f: CplFunction, g: CplFunction, a: float, b: float) -> float:
     a, b = _interval(a, b)
     pts = _merged_breaks(f, g, a, b)
     h = eval_cpl(f, pts) - eval_cpl(g, pts)
+    return float(np.sum(_abs_areas(h, np.diff(pts))))
+
+
+def _abs_areas(h: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``integral |h|`` on each piece of ``widths`` (axis 0): a trapezoid or two triangles."""
     h0, h1 = h[:-1], h[1:]
-    widths = np.diff(pts)
-    same = h0 * h1 >= 0
-    total = np.sum(np.where(same, 0.5 * (np.abs(h0) + np.abs(h1)) * widths, 0.0))
-    cross = ~same
-    if cross.any():
-        hc0, hc1, wc = h0[cross], h1[cross], widths[cross]
-        t = hc0 / (hc0 - hc1)  # crossing position as a fraction of the segment
-        total += np.sum(0.5 * wc * (np.abs(hc0) * t + np.abs(hc1) * (1.0 - t)))
-    return float(total)
+    area = 0.5 * (np.abs(h0) + np.abs(h1))
+    cross = h0 * h1 < 0
+    h0, h1 = h0[cross], h1[cross]
+    t = h0 / (h0 - h1)  # where h crosses zero, as a fraction of the piece
+    area[cross] = 0.5 * (np.abs(h0) * t + np.abs(h1) * (1.0 - t))
+    return area * widths
 
 
 def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
@@ -353,15 +346,14 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     """Exact CPL representation of a 1-D network on ``[a, b]``.
 
     Propagates break points layer by layer: affine maps keep the mesh, each
-    activation inserts the zero crossings of every unit before clamping.
-    Exact up to f64 interpolation arithmetic, unlike the probing oracle.  The
-    refinement onto the new mesh reproduces ``np.interp`` of every unit row
-    bit for bit.  The last hidden layer is never held at all its new breaks:
-    they go ``COMPILE_BLOCK`` at a time, each block refined on only the old
-    segments it spans (the same bits as the whole mesh), clamped, and reduced
-    through the output layer into the values.  So that layer takes
-    O(breaks + units x COMPILE_BLOCK) memory, not units x breaks: 15 MiB
-    traced, not 1,039 MiB, for the 131,043 breaks of ``build_1d`` at N = 256.
+    activation inserts the zero crossings of every unit before clamping, and
+    the layers before the last hidden one are refined onto the new mesh with
+    ``np.interp``'s arithmetic.  Exact up to f64 arithmetic, unlike the
+    probing oracle.  The last hidden layer goes through ``_last_layer`` on
+    the old segments, ``SEGMENT_BLOCK`` at a time, so it holds O(breaks +
+    units x SEGMENT_BLOCK) memory, not units x breaks.  Its breaks are those
+    of a whole-mesh refinement and its values agree with one to about 1e-11
+    of the largest |value| at ``build_1d``'s N = 256.
     """
     if net.input_dim != 1:
         raise ShapeError("net_to_cpl_exact needs a 1-D network")
@@ -380,17 +372,22 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
         breaks = new_breaks
     w, bias = hidden[-1]
     vals = w @ vals + bias[:, None]
-    new_breaks = _with_crossings(breaks, vals)
-    out = np.empty(new_breaks.size)
-    edges = [*range(0, max(out.size - COMPILE_BLOCK, 1), COMPILE_BLOCK), out.size]
-    for lo, hi in zip(edges, edges[1:]):
-        x = new_breaks[lo:hi]
-        j0, j1 = np.clip(np.searchsorted(breaks, x[[0, -1]], side="right") - 1,
-                         0, breaks.size - 2)
-        h = _Mesh(x, breaks[j0:j1 + 2])(vals[:, j0:j1 + 2])
-        np.maximum(h, 0.0, out=h)
-        out[lo:hi] = (w_out @ h + b_out[:, None])[0]
-    return CplFunction(new_breaks, out)
+    pts, out = [], []
+    for lo in range(0, breaks.size - 1, SEGMENT_BLOCK):
+        x, z = breaks[lo:lo + SEGMENT_BLOCK + 1], vals[:, lo:lo + SEGMENT_BLOCK + 1]
+        s, h, n = _last_layer(z[:, :-1], z[:, 1:], w_out[0], b_out[0])
+        # segment by segment: its start, then its n crossings in order
+        keep = (np.arange(s.shape[0] - 1)[:, None] <= n).T
+        pts.append((x[:-1] + s[:-1] * np.diff(x)).T[keep])
+        out.append(h[:-1].T[keep])
+    # a crossing can round past its segment's end: sort, then drop repeats
+    pts, out = np.concatenate((*pts, breaks[-1:])), np.concatenate((*out, h[-1, -1:]))
+    order = np.argsort(pts, kind="stable")
+    pts, out = pts[order], out[order]
+    first = np.concatenate(([True], np.diff(pts) > 0))
+    pts, out = pts[first], out[first]
+    keep = _thin_breaks(pts)
+    return CplFunction(pts[keep], out[keep])
 
 
 def _with_crossings(breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -401,7 +398,35 @@ def _with_crossings(breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return breaks
     x0, x1 = breaks[s], breaks[s + 1]
     t = v0[u, s] / (v0[u, s] - v1[u, s])
-    return _thin_breaks(np.unique(np.concatenate((breaks, x0 + t * (x1 - x0)))))
+    pts = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
+    return pts[_thin_breaks(pts)]
+
+
+def _last_layer(z0, z1, w, b, y0=0.0, dy=0.0):
+    """``w . relu(z) + b`` minus the line ``y0 + s dy`` at its kinks along segments.
+
+    A column of ``z0`` and ``z1`` holds the last hidden layer's
+    pre-activations at the two ends of a segment along which they are
+    linear, ``s`` running from 0 to 1.  The output's kinks are the units'
+    zero crossings: its slope starts from its value just right of the start
+    and each crossing adds ``w_k |dz_k|``.  Returns, per column, ``s`` (0,
+    the crossings sorted, 1.0 past the segment's ``n`` of them, and 1),
+    ``h`` (the output minus the line at each ``s``) and ``n``.
+    """
+    dz = z1 - z0
+    cross = z0 * z1 < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(cross, z0 / (z0 - z1), 1.0)
+    order = np.argsort(t, axis=0)
+    kink = np.take_along_axis(np.where(cross, w[:, None] * np.abs(dz), 0.0), order, axis=0)
+    # slopes in units of the segment, minus the line's
+    active = (z0 > 0) | ((z0 == 0) & (z1 > 0))
+    s0 = w @ np.where(active, dz, 0.0) - dy
+    s = np.vstack((np.zeros_like(s0), np.take_along_axis(t, order, axis=0), np.ones_like(s0)))
+    slopes = np.vstack((s0, s0 + np.cumsum(kink, axis=0)))
+    h_start = w @ np.maximum(z0, 0.0) + b - y0
+    h = np.vstack((h_start, h_start + np.cumsum(slopes * np.diff(s, axis=0), axis=0)))
+    return s, h, np.count_nonzero(cross, axis=0)
 
 
 def _sliver_l1(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
@@ -409,55 +434,28 @@ def _sliver_l1(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
 
     ``net`` is a ``[1, a, b, 1]`` network whose first layer has no kink
     strictly inside any interval, and the secant runs from ``(lo_j, ylo_j)``
-    to ``(hi_j, yhi_j)``.  Each second-layer unit is then linear on an
-    interval, so the network's kinks there are the units' zero crossings.
-    They are sorted per interval; the output slope starts from its value
-    just right of ``lo_j`` and each kink adds ``w3_k |dz_k|``.  Each piece
-    is integrated like :func:`exact_l1_cpl`, as a trapezoid or two
-    triangles.  The cost is one matrix product per layer and a sort, not a
-    compile per interval; intervals go ``SLIVER_BLOCK`` at a time, which
-    bounds the working set.
+    to ``(hi_j, yhi_j)``.  So ``_last_layer`` gives the distance to the
+    secant at the network's kinks, and each piece between them is integrated
+    like :func:`exact_l1_cpl`: one matrix product per layer and a sort, not
+    a compile per interval, ``SEGMENT_BLOCK`` intervals at a time.
     """
     if net.input_dim != 1 or len(net.layers) != 3:
         raise ShapeError("_sliver_l1 needs a [1, a, b, 1] network")
     lo, hi, ylo, yhi = (np.asarray(v, dtype=float) for v in (lo, hi, ylo, yhi))
     if not np.all(lo < hi):
         raise ValueError("every interval must satisfy lo < hi")
-    blocks = (slice(s, s + SLIVER_BLOCK) for s in range(0, lo.size, SLIVER_BLOCK))
-    return np.concatenate([_sliver_block(net, lo[b], hi[b], ylo[b], yhi[b]) for b in blocks])
-
-
-def _sliver_block(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
-    """:func:`_sliver_l1` on one block of intervals."""
     (w1, b1), (w2, b2), (w3, b3) = net.layers
-    w3 = w3[0]
-    k = lo.size
-    z = w1 @ np.concatenate((lo, hi))[None, :] + b1[:, None]
-    if np.any(z[:, :k] * z[:, k:] < 0):
-        raise ShapeError("a first-layer unit changes sign inside an interval")
-    z = w2 @ np.maximum(z, 0.0) + b2[:, None]
-    z0, z1 = z[:, :k], z[:, k:]
-    dz = z1 - z0
-    cross = z0 * z1 < 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(cross, z0 / (z0 - z1), 1.0)
-    order = np.argsort(t, axis=0)
-    t = np.take_along_axis(t, order, axis=0)
-    kink = np.take_along_axis(np.where(cross, w3[:, None] * np.abs(dz), 0.0), order, axis=0)
-    # slopes in units of the interval, minus the secant's
-    active = (z0 > 0) | ((z0 == 0) & (z1 > 0))
-    s0 = w3 @ np.where(active, dz, 0.0) - (yhi - ylo)
-    slopes = np.vstack((s0, s0 + np.cumsum(kink, axis=0)))
-    widths = np.diff(np.vstack((np.zeros(k), t, np.ones(k))), axis=0)
-    h_start = w3 @ np.maximum(z0, 0.0) + b3[0] - ylo
-    h = np.vstack((h_start, h_start + np.cumsum(slopes * widths, axis=0)))
-    h0, h1 = h[:-1], h[1:]
-    same = h0 * h1 >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tc = np.where(same, 0.0, h0 / (h0 - h1))
-    area = np.where(same, 0.5 * (np.abs(h0) + np.abs(h1)),
-                    0.5 * (np.abs(h0) * tc + np.abs(h1) * (1.0 - tc)))
-    return np.sum(area * widths, axis=0) * (hi - lo)
+    out = np.empty(lo.size)
+    for i in range(0, lo.size, SEGMENT_BLOCK):
+        j = slice(i, i + SEGMENT_BLOCK)
+        k = lo[j].size
+        z = w1 @ np.concatenate((lo[j], hi[j]))[None, :] + b1[:, None]
+        if np.any(z[:, :k] * z[:, k:] < 0):
+            raise ShapeError("a first-layer unit changes sign inside an interval")
+        z = w2 @ np.maximum(z, 0.0) + b2[:, None]
+        s, h, _ = _last_layer(z[:, :k], z[:, k:], w3[0], b3[0], ylo[j], yhi[j] - ylo[j])
+        out[j] = np.sum(_abs_areas(h, np.diff(s, axis=0)), axis=0) * (hi[j] - lo[j])
+    return out
 
 
 def cpl_sup(f: CplFunction, a: float, b: float) -> float:

@@ -213,14 +213,15 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
     the grid points, a lower bound on the true sup.  The target is called on
     blocks of at most ``_BLOCK`` points, in C order; both reductions run per
-    ``_CHUNK``.  A NaN error anywhere raises ``ValueError``.
+    ``_CHUNK``.  A NaN or infinite error anywhere raises ``ValueError``.
     """
     weight = math.prod([1.0 / grid.points_per_axis] * grid.d)
     total, worst = 0.0, 0.0
     for err in _abs_errors(f, net, grid):
         top = float(np.max(err))
-        if math.isnan(top):
-            raise ValueError("target or network is NaN on the grid")
+        if not math.isfinite(top):
+            raise ValueError(f"target or network is {'NaN' if math.isnan(top) else 'infinite'} "
+                             "on the grid")
         worst = max(worst, top)
         err *= weight  # the chunk buffer, which the next chunk overwrites
         total += float(np.sum(err))

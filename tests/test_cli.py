@@ -2,12 +2,15 @@
 
 import csv
 import json
+from types import SimpleNamespace
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
-from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, build_1d, cli,
-                           deserialize, evaluate, holder_family, l1_error, linf_error, metrics)
+from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, ReluNetwork,
+                           build_1d, cli, deserialize, evaluate, grid_errors, holder_family,
+                           l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
 
@@ -233,6 +236,22 @@ class TestSweep:
         assert [r["pass"] for r in rows] == ["error: ValueError: target or network is NaN "
                                              "on the grid"] * 3
         assert json.loads(summary.read_text())["partial"] is True
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("w1", [[[2.0]], [[1.0, 1.0]], [[2.0, 0.0]]])
+    def test_overflowing_network_recorded_as_error(self, tmp_path, monkeypatch, w1):
+        # the networks of TestGridErrors.test_overflowing_network_raises
+        d = len(w1[0])
+        net = ReluNetwork(d, ((np.array(w1), np.zeros(1)), (np.array([[1e308]]), np.zeros(1))))
+        monkeypatch.setattr(cli, "_build", lambda *args: SimpleNamespace(net=net))
+        with pytest.raises(ValueError) as raised:
+            grid_errors(holder_family("cone", d, 0.5, 1.0), net, GridSpec(d, 64))
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--d", d, "--alpha", "0.5", "--N", "2", "3", "4",
+                    "--grid-points", "64", "--out", out]) == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        want = f"error: {type(raised.value).__name__}: {raised.value}"
+        assert [r["pass"] for r in rows] == [want] * 3
 
     def test_cells_equal_single_metrics(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -340,6 +340,19 @@ class TestGridErrors:
         with pytest.raises(ValueError, match="NaN"):
             grid_errors(f, net, grid)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("w1", [[[2.0]], [[1.0, 1.0]], [[2.0, 0.0]]])
+    def test_overflowing_network_raises(self, w1):
+        # one unit with output weight 1e308 overflows inside the cube.  In
+        # d = 2 the first layer [[1, 1]] sees both axes, so it is evaluated
+        # densely, where the error once read as (inf, inf); [[2, 0]] compiles
+        net = ReluNetwork(len(w1[0]), ((np.array(w1), np.zeros(1)),
+                                       (np.array([[1e308]]), np.zeros(1))))
+        if w1 == [[1.0, 1.0]]:
+            assert metrics._compile(net, np.array([0.5])) is None
+        with pytest.raises(ValueError):
+            grid_errors(lambda points: np.zeros(len(points)), net, GridSpec(net.input_dim, 64))
+
 
 def reference_chunks(grid):
     """The per-point layout: each flat index split into axis indices by
