@@ -4,11 +4,11 @@ Holds the CPL value type, its one-hidden-layer ReLU realization (all-ones
 first layer, biases at the break points, output weights from secant-slope
 differences), exact piecewise L1 integration used as a test oracle, and two
 ways to recover a CPL view of a 1-D network: black-box probing with slope
-detection, and exact layer-by-layer propagation (each unit refined onto the
-growing mesh with ``np.interp``'s arithmetic by ``_Mesh``).  Where the
-layers before the last hidden one are linear, the output's kinks are that
-layer's zero crossings; one pass, ``_last_layer``, finds them and the values
-there by accumulating slope jumps.  The exact compile runs it on the
+detection, and exact layer-by-layer propagation (each layer evaluated at
+the breaks of the layers before it, ``_activations``).  Where the layers
+before the last hidden one are linear, the output's kinks are that layer's
+zero crossings; one pass, ``_last_layer``, finds them and the values there
+by accumulating slope jumps.  The exact compile runs it on the
 segments its earlier layers build, and ``_sliver_l1`` on many intervals
 free of first-layer kinks at once, to integrate a two-hidden-layer network
 against a secant with no CPL view.  Both take ``SEGMENT_BLOCK`` segments at
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, _integer
+from .errors import ParseError, ShapeError, _floats, _integer
 from .network import ReluNetwork, evaluate_batch
 
 __all__ = [
@@ -308,70 +308,30 @@ def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 200
     return _extract_cpl(net, np.linspace(a, b, probe_count))
 
 
-class _Mesh:
-    """Where each point of a nondecreasing ``x`` lies among the increasing nodes ``xp``.
-
-    Found once; calling the mesh with values ``fp`` of shape
-    ``(..., len(xp))`` then interpolates every row at ``x`` with
-    ``np.interp``'s arithmetic, bit for bit: ``slope[j] * (x - xp[j]) +
-    fp[j]`` inside segment ``j``, with ``slope = diff(fp) / diff(xp)``; the
-    node value itself at a node; ``fp[0]`` left of ``xp[0]`` and ``fp[-1]``
-    at or right of ``xp[-1]``.  Values must be finite.  The result is
-    C-ordered: a matrix product with an F-ordered operand takes another BLAS
-    path and rounds differently.
-    """
-
-    def __init__(self, x: np.ndarray, xp: np.ndarray):
-        self.dxp = np.diff(xp)
-        pos = np.searchsorted(xp, x, side="right") - 1
-        seg = np.clip(pos, 0, xp.size - 2)
-        self.t = x - xp[seg]
-        # x is nondecreasing, so gathering per segment is a repeat
-        self.counts = np.bincount(seg, minlength=self.dxp.size)
-        # points that take a node value unchanged: outside the mesh, at its
-        # right end, or on a node
-        node = np.clip(pos, 0, xp.size - 1)
-        self.exact = np.nonzero((pos < 0) | (pos == xp.size - 1) | (x == xp[node]))[0]
-        self.node = node[self.exact]
-
-    def __call__(self, fp: np.ndarray) -> np.ndarray:
-        out = np.repeat(np.diff(fp, axis=-1) / self.dxp, self.counts, axis=-1)
-        out *= self.t
-        out += np.repeat(fp[..., :-1], self.counts, axis=-1)
-        out[..., self.exact] = np.take(fp, self.node, axis=-1)
-        return out
-
-
 def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     """Exact CPL representation of a 1-D network on ``[a, b]``.
 
-    Propagates break points layer by layer: affine maps keep the mesh, each
-    activation inserts the zero crossings of every unit before clamping, and
-    the layers before the last hidden one are refined onto the new mesh with
-    ``np.interp``'s arithmetic.  Exact up to f64 arithmetic, unlike the
-    probing oracle.  The last hidden layer goes through ``_last_layer`` on
-    the old segments, ``SEGMENT_BLOCK`` at a time, so it holds O(breaks +
-    units x SEGMENT_BLOCK) memory, not units x breaks.  Its breaks are those
-    of a whole-mesh refinement and its values agree with one to about 1e-11
-    of the largest |value| at ``build_1d``'s N = 256.
+    Propagates break points layer by layer: each layer's pre-activations are
+    linear between the breaks of the layers before it, so it is evaluated
+    at those breaks (``_activations``) and adds its units' zero crossings.
+    Exact up to f64 arithmetic, unlike the probing oracle.  The last hidden
+    layer goes through ``_last_layer`` on the old segments, ``SEGMENT_BLOCK``
+    at a time, so it holds O(breaks + units x SEGMENT_BLOCK) memory, not
+    units x breaks.  Its breaks are those of interpolating that layer onto
+    its crossings and its values agree with such an interpolation to about
+    1e-11 of the largest |value| at ``build_1d``'s N = 256.
     """
     if net.input_dim != 1:
         raise ShapeError("net_to_cpl_exact needs a 1-D network")
     a, b = _interval(a, b)
     breaks = np.array([a, b])
-    vals = breaks[None, :]  # one "unit": the identity
     *hidden, (w_out, b_out) = net.layers
     if not hidden:
-        return CplFunction(breaks, (w_out @ vals + b_out[:, None])[0])
-    for w, bias in hidden[:-1]:
-        vals = w @ vals + bias[:, None]
-        new_breaks = _with_crossings(breaks, vals)
-        if new_breaks is not breaks:
-            vals = _Mesh(new_breaks, breaks)(vals)
-        vals = np.maximum(vals, 0.0)
-        breaks = new_breaks
+        return CplFunction(breaks, (w_out @ breaks[None, :] + b_out[:, None])[0])
+    for depth, (w, bias) in enumerate(hidden[:-1]):
+        breaks = _with_crossings(breaks, w @ _activations(hidden[:depth], breaks) + bias[:, None])
     w, bias = hidden[-1]
-    vals = w @ vals + bias[:, None]
+    vals = w @ _activations(hidden[:-1], breaks) + bias[:, None]
     pts, out = [], []
     for lo in range(0, breaks.size - 1, SEGMENT_BLOCK):
         x, z = breaks[lo:lo + SEGMENT_BLOCK + 1], vals[:, lo:lo + SEGMENT_BLOCK + 1]
@@ -383,19 +343,23 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     # a crossing can round past its segment's end: sort, then drop repeats
     pts, out = np.concatenate((*pts, breaks[-1:])), np.concatenate((*out, h[-1, -1:]))
     order = np.argsort(pts, kind="stable")
-    pts, out = pts[order], out[order]
-    first = np.concatenate(([True], np.diff(pts) > 0))
-    pts, out = pts[first], out[first]
-    keep = _thin_breaks(pts)
+    order = order[np.concatenate(([True], np.diff(pts[order]) > 0))]
+    keep = order[_thin_breaks(pts[order])]
     return CplFunction(pts[keep], out[keep])
 
 
+def _activations(layers, x: np.ndarray) -> np.ndarray:
+    """The units ``max(w @ h + b, 0)`` of ``layers`` at ``x``, from ``h = x[None, :]``."""
+    h = x[None, :]
+    for w, b in layers:
+        h = np.maximum(w @ h + b[:, None], 0.0)
+    return h
+
+
 def _with_crossings(breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``breaks`` plus the zero crossings of every row of ``vals``, thinned; ``breaks`` if none."""
+    """``breaks`` plus the zero crossings of every row of ``vals``, thinned."""
     v0, v1 = vals[:, :-1], vals[:, 1:]
     u, s = np.nonzero((v0 * v1) < 0)
-    if not u.size:
-        return breaks
     x0, x1 = breaks[s], breaks[s + 1]
     t = v0[u, s] / (v0[u, s] - v1[u, s])
     pts = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
@@ -472,7 +436,7 @@ def cpl_to_json(f: CplFunction) -> str:
 
 
 def cpl_from_json(text) -> CplFunction:
-    """Parse the ``{"breaks": [...], "values": [...]}`` document."""
+    """Parse the ``{"breaks": [...], "values": [...]}`` document; see ``errors._floats``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     try:
@@ -481,4 +445,4 @@ def cpl_from_json(text) -> CplFunction:
         raise ParseError(f"malformed CPL document: {e.msg}", offset=e.pos) from e
     if not isinstance(doc, dict) or "breaks" not in doc or "values" not in doc:
         raise ParseError("CPL document must carry breaks and values")
-    return CplFunction(np.asarray(doc["breaks"]), np.asarray(doc["values"]))
+    return CplFunction(_floats(doc["breaks"], "breaks"), _floats(doc["values"], "values"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one size check."""
+"""Exception types shared across the package, and the checks of sizes and parsed numbers."""
 
 import numpy as np
 
@@ -63,3 +63,14 @@ def _integer(value, name: str, error=ValueError) -> int:
     if value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """A parsed JSON array of numbers as floats; anything else raises ``ParseError``."""
+    entries = np.array(value, dtype=object)
+    try:
+        if all(type(v) in (int, float) for v in entries.flat):
+            return entries.astype(float)
+    except OverflowError:
+        pass
+    raise ParseError(f"{name} must be a rectangular array of numbers")

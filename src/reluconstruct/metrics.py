@@ -170,15 +170,19 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
     ``_CHUNK / p + 2`` rows; the psi encoder sorts each coordinate into a few
     cells, so rows repeat) and its blocks read from that table.  A d = 1 grid
     is one row, so its blocks go through ``np.interp`` as they come.  A
-    network without a compiled form goes through ``evaluate_batch`` block by
-    block, so its activations are ``_BLOCK`` rows, not the chunk's.
+    network without a finite compiled form goes through ``evaluate_batch``
+    block by block, so its activations are ``_BLOCK`` rows, not the chunk's.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
     p, d, total = grid.points_per_axis, grid.d, grid.total_points
     # the grid cap leaves a d > 1 axis at most 4096 points
     pts = None if d == 1 else (np.arange(p) + 0.5) / p
-    tables, outer = _compile(net, pts) or ((), None)
+    try:  # a compiled form that overflows leaves the grid to the dense pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables, outer = _compile(net, pts) or ((), None)
+    except ValueError:
+        tables, outer = (), None
     buf = np.empty(min(_CHUNK, total))
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompositionError, ParseError, ShapeError, _integer
+from .errors import CompositionError, ParseError, ShapeError, _floats, _integer
 
 __all__ = [
     "ReluNetwork",
@@ -167,10 +167,10 @@ def serialize(net: ReluNetwork) -> bytes:
 def deserialize(data) -> ReluNetwork:
     """Parse the JSON interchange document back into a network.
 
-    Raises :class:`ParseError` on malformed input, with the failing offset
-    when the JSON itself is malformed, and when ``input_dim`` is not a
-    positive integer (``1.0``, ``true`` and ``"1"`` are not); raises
-    :class:`ShapeError` when the dimension chain is violated.
+    Raises :class:`ParseError` on malformed input: bad JSON (with the failing
+    offset), an ``input_dim`` that is not a positive integer (``1.0``, ``true``
+    and ``"1"`` are not) or a weight or bias that is not an array of numbers;
+    raises :class:`ShapeError` when the dimension chain is violated.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -182,7 +182,8 @@ def deserialize(data) -> ReluNetwork:
         raise ParseError("network document must carry input_dim and layers")
     input_dim = _integer(doc["input_dim"], "input_dim", ParseError)
     try:
-        layers = tuple((lay["weight"], lay["bias"]) for lay in doc["layers"])
+        layers = tuple(tuple(_floats(lay[k], f"layer {i} {k}") for k in ("weight", "bias"))
+                       for i, lay in enumerate(doc["layers"]))
     except (TypeError, KeyError) as e:
         raise ParseError(f"network document has malformed layer entries: {e}") from e
     return ReluNetwork(input_dim, layers)

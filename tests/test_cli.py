@@ -451,6 +451,15 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [net]
 
+    @pytest.mark.parametrize("weight", [{"a": 1.0}, "abc"], ids=["object", "string"])
+    def test_weight_that_is_not_numbers_exits_2(self, tmp_path, capsys, weight):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"input_dim": 1, "layers": [{"weight": weight, "bias": [0.0]}]}))
+        assert exit_code(["eval", "--net", net]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error: layer 0 weight must be" in err
+        assert "Traceback" not in err
+
     def test_infeasible_writes_no_network(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = exit_code(["construct", "--alpha", "0.5", "--N", "2", "--out", out,

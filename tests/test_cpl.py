@@ -1,5 +1,6 @@
 """CPL representation, the one-hidden-layer constructor, and exact integration."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from reluconstruct import (
     SampleSet,
     ShapeError,
     build_1d,
+    build_dd,
     choose_delta,
     cpl_from_net_1d,
     cpl_sup,
@@ -27,8 +29,8 @@ from reluconstruct import (
     lemma2_interpolant,
     net_to_cpl_exact,
 )
-from reluconstruct import construct, cpl
-from reluconstruct.cpl import MIN_BREAK_GAP, _Mesh, _merged_breaks, _sliver_l1, _thin_breaks
+from reluconstruct import construct, cpl, metrics
+from reluconstruct.cpl import MIN_BREAK_GAP, _merged_breaks, _sliver_l1, _thin_breaks
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -240,6 +242,23 @@ class TestCplJson:
         with pytest.raises(ParseError):
             cpl_from_json('{"breaks": [0, 1]}')
 
+    @pytest.mark.parametrize("key", ["breaks", "values"])
+    @pytest.mark.parametrize("value", [{"a": 1.0}, "ab", [0, "1"], [0, None], [0, True]],
+                             ids=["object", "string", "string-entry", "null", "bool"])
+    def test_entries_that_are_not_numbers(self, key, value):
+        from reluconstruct import ParseError, cpl_from_json
+
+        doc = {"breaks": [0.0, 1.0], "values": [1.0, 2.0], key: value}
+        with pytest.raises(ParseError, match=f"{key} must be"):
+            cpl_from_json(json.dumps(doc))
+
+    def test_shape_errors_stay_shape_errors(self):
+        from reluconstruct import cpl_from_json
+
+        for doc in ('{"breaks": [1, 0], "values": [0, 0]}', '{"breaks": [0, 1], "values": [0]}'):
+            with pytest.raises(ShapeError):
+                cpl_from_json(doc)
+
 
 class TestCplSup:
     @pytest.mark.filterwarnings("error")
@@ -414,29 +433,34 @@ class TestThinBreaks:
 
 
 def per_row_reference(net, a, b):
-    """``net_to_cpl_exact`` with one ``np.interp`` call per unit row, the last layer's too."""
+    """``net_to_cpl_exact`` by whole-mesh refinement: each hidden layer is
+    evaluated at the breaks of the layers before it and adds its crossings,
+    and the last hidden layer is interpolated onto its own crossings with
+    one ``np.interp`` call per unit row."""
     breaks = np.array([float(a), float(b)])
-    vals = breaks[None, :]
-    for li, (w, bias) in enumerate(net.layers):
-        vals = w @ vals + bias[:, None]
-        if li == len(net.layers) - 1:
-            break
+    *hidden, (w_out, b_out) = net.layers
+    for depth, (w, bias) in enumerate(hidden):
+        h = breaks[None, :]
+        for w_in, b_in in hidden[:depth]:
+            h = np.maximum(w_in @ h + b_in[:, None], 0.0)
+        vals = w @ h + bias[:, None]
         v0, v1 = vals[:, :-1], vals[:, 1:]
         u, s = np.nonzero((v0 * v1) < 0)
-        if u.size:
-            x0, x1 = breaks[s], breaks[s + 1]
-            t = v0[u, s] / (v0[u, s] - v1[u, s])
-            new_breaks = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
-            new_breaks = new_breaks[_thin_breaks(new_breaks)]
+        if not u.size:
+            continue
+        x0, x1 = breaks[s], breaks[s + 1]
+        t = v0[u, s] / (v0[u, s] - v1[u, s])
+        new_breaks = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
+        new_breaks = new_breaks[_thin_breaks(new_breaks)]
+        if depth == len(hidden) - 1:
             vals = np.vstack([np.interp(new_breaks, breaks, row) for row in vals])
-            breaks = new_breaks
-        vals = np.maximum(vals, 0.0)
-    return breaks, vals[0]
+        breaks = new_breaks
+    return breaks, (w_out @ np.maximum(vals, 0.0) + b_out[:, None])[0]
 
 
 # the compile sums the last layer's slope jumps where the reference
-# interpolates every unit onto every break: the breaks are the same, and the
-# values agree to 4.4e-10 of the largest |value| on lemma2_net(64, 64)
+# interpolates each of its units onto every break: the breaks are the same,
+# and the values agree to 4.4e-10 of the largest |value| on lemma2_net(64, 64)
 COMPILE_VALUE_TOL = 1e-9
 
 
@@ -455,10 +479,6 @@ def longdouble_values(net, xs):
         if i < len(net.layers) - 1:
             h = np.maximum(h, 0)
     return h[0]
-
-
-def same_bits(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def random_1d_net(rng, hidden):
@@ -487,8 +507,8 @@ def record_blocks(monkeypatch):
 
 class TestBlockedCompile:
     """The last hidden layer, ``SEGMENT_BLOCK`` old segments at a time, gives
-    the breaks of the whole-mesh compile (``per_row_reference``, every unit
-    interpolated onto every break) bit for bit and its values within
+    the breaks of the whole-mesh compile (``per_row_reference``, each of its
+    units interpolated onto every break) bit for bit and its values within
     ``COMPILE_VALUE_TOL``, in bounded memory."""
 
     @pytest.mark.parametrize("big_n", [8, 32, 64, 128])
@@ -507,16 +527,28 @@ class TestBlockedCompile:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="longdouble is float64 on this platform")
-    @pytest.mark.parametrize("case", ["build_1d", "lemma2"])
-    def test_as_close_to_long_double_as_the_reference(self, case):
+    @pytest.mark.parametrize("case", ["build_1d", "lemma2", "depth-3", "build_dd-tail"])
+    def test_as_close_to_long_double_as_the_reference(self, case, monkeypatch):
         # the errors of both against the extended-precision network were
-        # equal at N = 64 (6.9e-13) and on lemma2_net(16, 16) (3.9e-8)
+        # equal at N = 64 (6.9e-13), on lemma2_net(16, 16) (3.9e-8), on the
+        # depth-3 network (7.2e-13) and on the d = 3 tail (1.5e-12)
+        a, b = 0.0, 1.0
         if case == "build_1d":
             net = build_1d(holder_family("cone", 1, 0.5, 1.0), 64).net
-        else:
+        elif case == "lemma2":
             net = lemma2_net(16, 16)
-        f = net_to_cpl_exact(net, 0.0, 1.0)
-        breaks, values = per_row_reference(net, 0.0, 1.0)
+        elif case == "depth-3":
+            net, a, b = random_1d_net(np.random.default_rng(3), [150, 120, 90]), -2.0, 2.0
+        else:
+            # the 1-D network after the per-axis tables of build_dd at d = 3
+            compiles, real = [], metrics.net_to_cpl_exact
+            monkeypatch.setattr(metrics, "net_to_cpl_exact",
+                                lambda *args: compiles.append(args) or real(*args))
+            metrics._compile(build_dd(holder_family("cone", 3, 0.5, 1.0), 27).net,
+                             (np.arange(64) + 0.5) / 64)
+            (net, a, b), = compiles
+        f = net_to_cpl_exact(net, a, b)
+        breaks, values = per_row_reference(net, a, b)
         assert np.array_equal(f.breaks, breaks)
         pick = np.random.default_rng(0).choice(breaks.size, min(2000, breaks.size), replace=False)
         exact = longdouble_values(net, breaks[pick])
@@ -579,26 +611,6 @@ class TestBlockedCompile:
             tracemalloc.stop()
         assert f.breaks.size > 1.9 * big_n**2
         assert peak < 16 * 2**20
-
-
-class TestMesh:
-    """``_Mesh`` against ``np.interp``, bit for bit."""
-
-    @pytest.mark.parametrize("nodes", [12, 2])
-    def test_matches_interp_in_one_and_two_dimensions(self, nodes):
-        rng = np.random.default_rng(41 + nodes)
-        xp = 0.3 + np.cumsum(rng.uniform(0.1, 1.0, nodes)) * 1e-5
-        inside = rng.uniform(xp[0], xp[-1], 200)
-        # every node, the right end twice, and both sides of the mesh
-        x = np.sort(np.concatenate((inside, xp, [xp[-1], xp[0] - 1e-5, xp[-1] + 1e-5])))
-        # magnitudes from 1e-8 to 1e8, both signs
-        fp = rng.choice([-1.0, 1.0], (129, nodes)) * 10.0 ** rng.uniform(-8, 8, (129, nodes))
-        mesh = _Mesh(x, xp)
-        out = mesh(fp)
-        assert out.flags.c_contiguous
-        assert same_bits(out, np.vstack([np.interp(x, xp, row) for row in fp]))
-        for row in fp[:5]:
-            assert same_bits(mesh(row), np.interp(x, xp, row))
 
 
 def lifted_slivers(big_n, alpha):

@@ -16,7 +16,7 @@ from reluconstruct import (
     serialize,
 )
 from reluconstruct.construct import RESIDUAL_SNAP
-from reluconstruct.cpl import _fit_one_layer_row, _Mesh
+from reluconstruct.cpl import _fit_one_layer_row
 
 
 def bounded_grid(rng, count):
@@ -169,7 +169,7 @@ class TestInvariants:
 
 
 def reference_lemma2(plan, residuals=False):
-    """The full-grid stage loop: every stage meshes both pieces onto all points.
+    """The full-grid stage loop: every stage interpolates both pieces onto all points.
 
     Returns ``(network, lambda_plus, lambda_minus, residuals)``.
     """
@@ -183,10 +183,9 @@ def reference_lemma2(plan, residuals=False):
     f = ys.astype(float).copy()
     if residuals:
         trace.append(f.copy())
-    mesh = _Mesh(xs, bx)
     g_break = np.zeros((2 * n + 1, 2 * m + 1))
     g_break[0] = f[bidx]
-    f = f - np.maximum(mesh(g_break[0]), 0.0)
+    f = f - np.maximum(np.interp(xs, bx, g_break[0]), 0.0)
     if residuals:
         trace.append(f.copy())
 
@@ -203,7 +202,8 @@ def reference_lemma2(plan, residuals=False):
         ends = slope[:, None] * (block_ends - xa[:, None])
         g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
         g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
-        gp_grid, gm_grid = np.maximum(mesh(g_break[2 * k - 1:2 * k + 1]), 0.0)
+        gp_grid, gm_grid = (np.maximum(np.interp(xs, bx, row), 0.0)
+                            for row in g_break[2 * k - 1:2 * k + 1])
         f = f - gp_grid + gm_grid
         if residuals:
             trace.append(f.copy())
@@ -234,7 +234,7 @@ def reference_cases():
 
 
 class TestAgainstFullGridReference:
-    """The block-layout stage loop against the full-grid mesh loop, bit for bit."""
+    """The block-layout stage loop against the full-grid interpolation loop, bit for bit."""
 
     @pytest.mark.parametrize("name,m,n,xs,ys", list(reference_cases()),
                              ids=lambda v: v if isinstance(v, str) else "")

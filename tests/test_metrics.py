@@ -350,8 +350,20 @@ class TestGridErrors:
                                        (np.array([[1e308]]), np.zeros(1))))
         if w1 == [[1.0, 1.0]]:
             assert metrics._compile(net, np.array([0.5])) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="infinite"):
             grid_errors(lambda points: np.zeros(len(points)), net, GridSpec(net.input_dim, 64))
+
+    def test_network_overflowing_off_the_grid_is_measured(self):
+        # 1e308 * relu(200 x - 198.2) overflows only past x = 0.999, beyond
+        # the last grid point 0.9921875: its compile on [0, 1] is not finite,
+        # but every grid value is, so the pass measures it densely
+        net = ReluNetwork(1, ((np.array([[200.0]]), np.array([-198.2])),
+                              (np.array([[1e308]]), np.zeros(1))))
+        grid = GridSpec(1, 64)
+        dense = np.abs(evaluate_batch(net, midpoints(grid)))
+        l1, linf = grid_errors(lambda points: np.zeros(len(points)), net, grid)
+        assert np.isfinite(linf) and linf == dense.max()
+        assert l1 == pytest.approx(dense.mean(), rel=1e-12)
 
 
 def reference_chunks(grid):

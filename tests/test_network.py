@@ -272,6 +272,18 @@ def test_deserialize_rejects_an_input_dim_that_is_not_a_positive_integer(input_d
         deserialize(doc)
 
 
+@pytest.mark.parametrize("entry", ["weight", "bias"])
+@pytest.mark.parametrize("value", [{"a": 1.0}, "abc", "1.5", [[True]], [[None]], [["1"]],
+                                   [[1.0], [1.0, 2.0]], [[10**400]]],
+                         ids=["object", "string", "numeric-string", "bool", "null",
+                              "string-entry", "ragged", "huge-int"])
+def test_deserialize_rejects_a_weight_or_bias_that_is_not_numbers(entry, value):
+    layer = {"weight": [[1.0]], "bias": [0.0], entry: value}
+    doc = json.dumps({"input_dim": 1, "layers": [layer]})
+    with pytest.raises(ParseError, match=f"layer 0 {entry} must be"):
+        deserialize(doc)
+
+
 def test_parameter_count():
     rng = np.random.default_rng(4)
     net = random_net(rng, 2, [3, 5])
