@@ -283,15 +283,16 @@ def _suite_lemma2(seed: int, m: int, n: int):
     dense = np.linspace(0.0, 1.0, 100001)
     sup = float(np.max(np.abs(evaluate_batch(net, dense))))
     bound = lemma2_sup_bound(xs, m, n, float(ys.max()))
-    sched_ok = True
-    for k in range(n + 1):
-        idx = sorted({(j + 1) * (n + 1) - n - 1 + ell for j in range(m) for ell in range(k + 1)}
-                     | {m * (n + 1)})
-        sched_ok &= max(abs(trace.residuals[k + 1][i]) for i in idx) <= 1e-8
+    # after stage k the residual is zero at the first k + 1 points of every
+    # block and at the last grid point; np.max keeps a NaN
+    starts = np.arange(m)[:, None] * (n + 1)
+    sched = float(np.max([
+        np.abs(trace.residuals[k + 1][[*(starts + np.arange(k + 1)).ravel(), m * (n + 1)]]).max()
+        for k in range(n + 1)]))
     return [
         ("node-exactness", node_err <= 1e-8, f"max node error {node_err:.2e}"),
         ("sup-bound", sup <= bound, f"sup {sup:.3e} vs bound {bound:.3e}"),
-        ("residual-schedule", bool(sched_ok), "residual zeros follow the induction"),
+        ("residual-schedule", sched <= 1e-8, f"max scheduled residual {sched:.2e}"),
         ("widths", net.hidden_widths == [2 * m, 2 * n + 1], str(net.hidden_widths)),
     ]
 

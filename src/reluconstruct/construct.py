@@ -296,6 +296,8 @@ def choose_delta(policy: DeltaPolicy, *, min_gap: float, budget: float,
     cap = half_gap * (1.0 - 1e-9)
     if policy.target is not None:
         budget = policy.target
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
     if policy.mode == PAPER_SUFFICIENT:
         if denom_log is None:

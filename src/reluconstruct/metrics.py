@@ -26,13 +26,15 @@ __all__ = [
 
 # largest grid any caller may ask for: the d = 3 default, 256^3 points
 GRID_POINT_CAP = 256**3
-# the quadrature sums run chunk by chunk in index order, so they are
-# bit-stable regardless of how callers parallelize around this module
+# a d > 1 pass builds its table of distinct grid rows once per this many
+# points; a table per block ran d > 1 grids 10-25% slower
 _CHUNK = 1 << 18
-# each chunk is evaluated in blocks of this many points: a block's
-# coordinates, target and network values (128 KiB per array) stay in a
-# 2 MiB per-core L2.  On a 2-core Xeon, verify-dd ran 7% faster with
-# 2^14 than with 2^13, and 2^12 and 2^15 were slower still.
+# the grid is evaluated and reduced in blocks of this many points, in index
+# order, so the sums are bit-stable regardless of how callers parallelize
+# around this module.  A block's coordinates, target and network values
+# (128 KiB per array) stay in a 2 MiB per-core L2.  On a 2-core Xeon,
+# verify-dd ran 7% faster with 2^14 than with 2^13, and 2^12 and 2^15 were
+# slower still.
 _BLOCK = 1 << 14
 # a second weight matrix this close to rank 1 (relative to its largest
 # entry) is factored; compose's fused layers measure below 1e-15
@@ -157,25 +159,28 @@ def _compile(net: ReluNetwork, pts: np.ndarray | None):
     return tables, net_to_cpl_exact(tail, lo - pad, hi + pad)
 
 
-def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
-    """Yield ``|f - net|`` per ``_CHUNK`` of the grid, in C order.
+def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
+    """``(L1, Linf)`` of ``f - net`` on the grid from one pass over its points.
 
-    The network is compiled once (see ``_compile``).  Each chunk is walked in
-    blocks of ``_BLOCK`` points (see ``_coords``), whose coordinates, target
-    and network values stay in cache, and filled into one buffer of this
-    call, which the next chunk overwrites.  For d > 1 a point's table sum is
-    its row's leading sum (``_row_sums``) plus its last-axis table entry, the
-    same operands added in the same order, so each chunk evaluates ``outer``
-    once per distinct leading sum and last-axis index (at most
-    ``_CHUNK / p + 2`` rows; the psi encoder sorts each coordinate into a few
-    cells, so rows repeat) and its blocks read from that table.  A d = 1 grid
-    is one row, so its blocks go through ``np.interp`` as they come.  A
-    network without a finite compiled form goes through ``evaluate_batch``
-    block by block, so its activations are ``_BLOCK`` rows, not the chunk's.
+    L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
+    point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
+    the grid points, a lower bound on the true sup.  A NaN or infinite error
+    anywhere raises ``ValueError``.
+
+    The network is compiled once (see ``_compile``).  The grid is walked in
+    C order in blocks of ``_BLOCK`` points (see ``_coords``), each reduced as
+    soon as it is evaluated, while its values are in cache.  For d > 1 a
+    point's table sum is its row's leading sum (``_row_sums``) plus its
+    last-axis table entry, the same operands added in the same order, so
+    each ``_CHUNK`` evaluates ``outer`` once per distinct leading sum and
+    last-axis index (at most ``_CHUNK / p + 2`` rows; the psi encoder sorts
+    each coordinate into a few cells, so rows repeat) and its blocks read
+    from that table.  A d = 1 block goes through ``np.interp`` directly, and
+    a network without a finite compiled form through ``evaluate_batch``.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
-    p, d, total = grid.points_per_axis, grid.d, grid.total_points
+    p, d, size = grid.points_per_axis, grid.d, grid.total_points
     # the grid cap leaves a d > 1 axis at most 4096 points
     pts = None if d == 1 else (np.arange(p) + 0.5) / p
     try:  # a compiled form that overflows leaves the grid to the dense pass
@@ -183,9 +188,10 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
             tables, outer = _compile(net, pts) or ((), None)
     except ValueError:
         tables, outer = (), None
-    buf = np.empty(min(_CHUNK, total))
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    weight = math.prod([1.0 / p] * d)
+    total, worst = 0.0, 0.0
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
         if tables:
             r0 = start // p
             uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, (stop - 1) // p + 1),
@@ -205,30 +211,15 @@ def _abs_errors(f, net: ReluNetwork, grid: GridSpec):
                 # rows r0 + first.. of the table hold the block, from column lo % p
                 first = lo // p - r0
                 nv = rows[inv[first:(hi - 1) // p - r0 + 1]].ravel()[lo % p:lo % p + hi - lo]
-            err = buf[lo - start:hi - start]
-            np.abs(np.subtract(fv, nv, out=err), out=err)
-        yield buf[:stop - start]
-
-
-def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
-    """``(L1, Linf)`` of ``f - net`` on the grid from one pass over its points.
-
-    L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
-    point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
-    the grid points, a lower bound on the true sup.  The target is called on
-    blocks of at most ``_BLOCK`` points, in C order; both reductions run per
-    ``_CHUNK``.  A NaN or infinite error anywhere raises ``ValueError``.
-    """
-    weight = math.prod([1.0 / grid.points_per_axis] * grid.d)
-    total, worst = 0.0, 0.0
-    for err in _abs_errors(f, net, grid):
-        top = float(np.max(err))
-        if not math.isfinite(top):
-            raise ValueError(f"target or network is {'NaN' if math.isnan(top) else 'infinite'} "
-                             "on the grid")
-        worst = max(worst, top)
-        err *= weight  # the chunk buffer, which the next chunk overwrites
-        total += float(np.sum(err))
+            err = np.subtract(fv, nv)
+            np.abs(err, out=err)
+            top = float(np.max(err))
+            if not math.isfinite(top):
+                raise ValueError(f"target or network is {'NaN' if math.isnan(top) else 'infinite'} "
+                                 "on the grid")
+            worst = max(worst, top)
+            err *= weight
+            total += float(np.sum(err))
     return total, worst
 
 
@@ -315,8 +306,8 @@ class RateFit:
 def rate_fit(pairs) -> RateFit:
     """Fit the empirical rate exponent; errors must be finite and strictly positive."""
     pairs = tuple((_integer(n, "N"), float(e)) for n, e in pairs)
-    if len(pairs) < 2:
-        raise ShapeError("rate fitting needs at least two (N, error) pairs")
+    if len({n for n, _ in pairs}) < 2:
+        raise ShapeError("rate fitting needs (N, error) pairs at two or more distinct N")
     if not all(np.isfinite(e) and e > 0 for _, e in pairs):
         raise ValueError("rate fitting needs finite, strictly positive errors")
     x = np.log([n for n, _ in pairs])

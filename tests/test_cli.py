@@ -206,13 +206,13 @@ class TestSweep:
 
     def test_one_grid_pass_per_n(self, tmp_path, monkeypatch):
         passes = []
-        abs_errors = metrics._abs_errors
+        errors = cli.grid_errors
 
         def counted(f, net, grid):
             passes.append(grid.total_points)
-            return abs_errors(f, net, grid)
+            return errors(f, net, grid)
 
-        monkeypatch.setattr(metrics, "_abs_errors", counted)
+        monkeypatch.setattr(cli, "grid_errors", counted)
         assert run(["sweep", "--d", "1", "--N", "4", "8", "16", "--grid-points", "5000",
                     "--out", tmp_path / "s.csv"]) == 0
         assert passes == [5000] * 3
@@ -310,6 +310,31 @@ class TestCheck:
         text = report.read_text()
         assert "<testsuite" in text and 'name="lemma2"' in text
         assert 'failures="0"' in text
+
+    def test_residual_schedule_reports_its_worst_value(self, capsys, monkeypatch):
+        # the detail is the largest scheduled residual of the construction's
+        # own record; a nonzero one planted there fails the case with its value
+        traces, build = [], cli.lemma2_interpolant
+
+        def recording(plan, residuals=False):
+            net, trace = build(plan, residuals)
+            traces.append(trace)
+            if len(traces) == 2:
+                trace.residuals[3][1] = -3e-6
+            return net, trace
+
+        monkeypatch.setattr(cli, "lemma2_interpolant", recording)
+        m = n = 4
+        assert run(["check", "--suite", "lemma2", "--m", m, "--n", n, "--seed", "5"]) == 0
+        (trace,) = traces
+        worst = max(abs(trace.residuals[k + 1][j * (n + 1) + ell])
+                    for k in range(n + 1) for j in range(m) for ell in range(k + 1))
+        worst = max(worst, *(abs(trace.residuals[k + 1][m * (n + 1)]) for k in range(n + 1)))
+        assert f"PASS lemma2.residual-schedule: max scheduled residual {worst:.2e}" in \
+            capsys.readouterr().out
+        assert run(["check", "--suite", "lemma2", "--m", m, "--n", n, "--seed", "5"]) == 1
+        assert "FAIL lemma2.residual-schedule: max scheduled residual 3.00e-06" in \
+            capsys.readouterr().out
 
     def test_infeasible_closure_exits_3(self, capsys, monkeypatch):
         def infeasible(g, m, n, eps):

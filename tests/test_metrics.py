@@ -282,12 +282,12 @@ class TestCompiledQuadrature:
 
 
 def two_pass_reference(f, net, grid):
-    """(L1, Linf) from one ``_abs_errors`` pass each, the same reductions."""
+    """(L1, Linf) from one ``reference_blocks`` pass each, the same reductions."""
     total = 0.0
-    for err in metrics._abs_errors(f, net, grid):
+    for err, _ in reference_blocks(f, net, grid):
         total += float(np.sum(err * point_weight(grid)))
     worst = 0.0
-    for err in metrics._abs_errors(f, net, grid):
+    for err, _ in reference_blocks(f, net, grid):
         worst = max(worst, float(np.max(err)))
     return total, worst
 
@@ -385,10 +385,10 @@ def reference_chunks(grid):
         yield pts[axes], weights, axes
 
 
-def reference_errors(f, net, grid):
-    """(L1, Linf) over ``reference_chunks``, compiled or dense as in ``_abs_errors``."""
+def reference_blocks(f, net, grid):
+    """``|f - net|`` and the point weights per ``_BLOCK`` of ``reference_chunks``,
+    each chunk evaluated whole, compiled or dense as in ``grid_errors``."""
     compiled = metrics._compile(net, midpoints(grid))
-    total, worst = 0.0, 0.0
     for coords, weights, axes in reference_chunks(grid):
         if compiled is None:
             nv = evaluate_batch(net, coords)
@@ -398,6 +398,14 @@ def reference_errors(f, net, grid):
             z = sum(t[j] for t, j in zip(tables, axes.T)) if tables else coords[:, 0]
             nv = np.interp(z, outer.breaks, outer.values)
         err = np.abs(f(coords) - nv)
+        for lo in range(0, len(err), metrics._BLOCK):
+            yield err[lo:lo + metrics._BLOCK], weights[lo:lo + metrics._BLOCK]
+
+
+def reference_errors(f, net, grid):
+    """(L1, Linf) over ``reference_blocks``, both reduced block by block."""
+    total, worst = 0.0, 0.0
+    for err, weights in reference_blocks(f, net, grid):
         total += float(np.sum(err * weights))
         worst = max(worst, float(np.max(err)))
     return total, worst
@@ -549,8 +557,9 @@ class TestRowTable:
 
 
 class TestBlockEdges:
-    """Blocks change where the target and ``np.interp`` run, not what any
-    sum adds: every result equals the whole-chunk evaluation bit for bit."""
+    """Blocks change where the target and ``np.interp`` run, not any value:
+    every result equals the whole-chunk evaluation, summed per block, bit for
+    bit."""
 
     @MIDPOINT
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -592,6 +601,19 @@ class TestBlockEdges:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_pass_holds_no_chunk_buffer(self):
+        # each block is reduced as it is evaluated; with a 2^18-point buffer of
+        # errors per chunk this pass peaked at 2.69 MiB traced
+        net = build_1d(cone(1), 8).net
+        grid_errors(cone(1), net, GridSpec(1, 1000))  # first-call allocations
+        tracemalloc.start()
+        try:
+            grid_errors(cone(1), net, GridSpec(1, 2**20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_d1_pass_holds_blocks_not_the_grid(self, monkeypatch):
         # 2^22 points: the whole axis array and its arange took 64 MiB
         f, net, grid = cone(1), build_1d(cone(1), 16).net, GridSpec(1, 2**22)
@@ -612,8 +634,8 @@ class TestBlockEdges:
         assert got == grid_errors(f, net, grid)
 
     def test_concurrent_calls_equal_serial(self):
-        # as sweep --threads does: each call fills its own chunk buffer, so
-        # calls that interleave block by block still give the serial bits
+        # as sweep --threads does: each call keeps its own block arrays and
+        # sums, so calls that interleave block by block give the serial bits
         rng = np.random.default_rng(9)
         cases = [(tilted(1), build_1d(cone(1), 8).net, GridSpec(1, 2**18 + 4321)),
                  (tilted(2), build_dd(cone(2), 9).net, GridSpec(2, 600)),
@@ -741,6 +763,12 @@ class TestRateFit:
     def test_too_few_pairs(self):
         with pytest.raises(ShapeError):
             rate_fit([(2, 0.1)])
+
+    @pytest.mark.parametrize("pairs", [[(4, 1e-3), (4, 2e-3)], [(8, 1e-3)] * 3])
+    def test_one_distinct_n_rejected(self, pairs):
+        # np.polyfit warned RankWarning and returned slope -2.37, r^2 1e-16
+        with pytest.raises(ShapeError, match="distinct N"):
+            rate_fit(pairs)
 
     @pytest.mark.parametrize("n, message", [(2.5, "must be an integer"),
                                             (4.0, "must be an integer"),

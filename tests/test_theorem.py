@@ -234,6 +234,23 @@ class TestChooseDelta:
             with pytest.raises(ValueError, match="target"):
                 DeltaPolicy(target=value)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("mode", [PAPER_SUFFICIENT, EMPIRICAL_SHRINK])
+    def test_budget_must_be_positive_and_finite(self, mode, budget):
+        # paper mode returned delta nan or hit a math domain error; the
+        # empirical search ran ~40 halvings to an infeasible floor
+        tried = []
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            choose_delta(DeltaPolicy(mode=mode), min_gap=0.1, budget=budget, denom_log=1.0,
+                         h_error=lambda d: tried.append(d) or 0.0)
+        assert tried == []
+
+    @pytest.mark.parametrize("mode", [PAPER_SUFFICIENT, EMPIRICAL_SHRINK])
+    def test_target_is_the_budget_checked(self, mode):
+        choice = choose_delta(DeltaPolicy(mode=mode, target=1.0), min_gap=0.1, budget=math.nan,
+                              denom_log=1.0, h_error=lambda d: 0.0)
+        assert 0 < choice.delta < 0.05
+
     def test_checked_fields_cannot_be_reassigned(self):
         policy = DeltaPolicy()
         for field, value in (("floor", 1e-30), ("mode", "bisect")):
