@@ -289,6 +289,7 @@ def choose_delta(policy: DeltaPolicy, *, min_gap: float, budget: float,
     (empirical mode).  The returned delta is always strictly below half
     ``min_gap``.  In empirical mode a floor hit without meeting the budget
     raises :class:`ConstructionInfeasibleError` carrying the measured error.
+    A NaN ``denom_log`` or measured error raises ``ValueError``.
     """
     if not 0 < min_gap < math.inf:
         raise ValueError(f"min_gap must be positive and finite, got {min_gap!r}")
@@ -300,8 +301,9 @@ def choose_delta(policy: DeltaPolicy, *, min_gap: float, budget: float,
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
     if policy.mode == PAPER_SUFFICIENT:
-        if denom_log is None:
-            raise ValueError("paper-sufficient mode needs the closed-form denominator")
+        if denom_log is None or math.isnan(denom_log):
+            raise ValueError(f"paper-sufficient mode needs the closed-form denominator, "
+                             f"got {denom_log!r}")
         log_delta = math.log(budget) - denom_log
         if log_delta < math.log(policy.floor):
             warnings.warn(
@@ -318,6 +320,8 @@ def choose_delta(policy: DeltaPolicy, *, min_gap: float, budget: float,
     delta = DELTA_SHRINK * half_gap
     for it in itertools.count(1):
         err = h_error(delta)
+        if math.isnan(err):
+            raise ValueError(f"h_error returned NaN at delta {delta!r}")
         if err <= budget:
             return DeltaChoice(delta=delta, iterations=it, h_error=err)
         if delta <= policy.floor:

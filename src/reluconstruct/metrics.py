@@ -177,6 +177,14 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     each coordinate into a few cells, so rows repeat) and its blocks read
     from that table.  A d = 1 block goes through ``np.interp`` directly, and
     a network without a finite compiled form through ``evaluate_batch``.
+
+    The target is called once per block on its ``(k, d)`` points, except a
+    ``holder_family("cone", d, ...)`` target (or its ``.f``) on a d > 1 grid:
+    its axis function is tabled once per pass, and each block adds its rows'
+    leading sums of that table to the table itself and applies the cone's
+    outer function, the per-point call's operations in its order.  Any other
+    callable keeps the per-point path; a ``functools.wraps`` wrapper of the
+    cone's ``f`` copies its form and takes the table path.
     """
     if net.input_dim != grid.d:
         raise ShapeError("network input dimension must match the grid")
@@ -188,6 +196,11 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
             tables, outer = _compile(net, pts) or ((), None)
     except ValueError:
         tables, outer = (), None
+    form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
+    f_table = f_outer = None
+    if d > 1 and form is not None and form[0] == d:
+        f_table, f_outer = form[1](pts), form[2]
+    need_coords = f_outer is None or outer is None
     weight = math.prod([1.0 / p] * d)
     total, worst = 0.0, 0.0
     for start in range(0, size, _CHUNK):
@@ -199,10 +212,15 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
             rows = np.interp(uniq[:, None] + tables[-1], outer.breaks, outer.values)
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
-            coords = _coords(grid, pts, lo, hi)
-            fv = np.asarray(f(coords), dtype=float)
-            if fv.shape != (hi - lo,):
-                raise ShapeError("target must map (k, d) points to (k,) values")
+            coords = _coords(grid, pts, lo, hi) if need_coords else None
+            if f_outer is None:
+                fv = np.asarray(f(coords), dtype=float)
+                if fv.shape != (hi - lo,):
+                    raise ShapeError("target must map (k, d) points to (k,) values")
+            else:
+                # the block's rows, from column lo % p of the first
+                lead = _row_sums([f_table] * (d - 1), p, lo // p, (hi - 1) // p + 1)
+                fv = f_outer((lead[:, None] + f_table).ravel()[lo % p:lo % p + hi - lo])
             if outer is None:
                 nv = evaluate_batch(net, coords)
             elif d == 1:
@@ -238,23 +256,30 @@ def linf_error(f, net: ReluNetwork, grid: GridSpec) -> float:
 
 
 def _cone(d: int, alpha: float, nu: float):
+    def axis(t: np.ndarray) -> np.ndarray:
+        c = t - 0.5
+        c *= c
+        return c
+
+    def outer(s: np.ndarray) -> np.ndarray:  # overwrites s
+        np.sqrt(s, out=s)
+        np.power(s, alpha, out=s)
+        s *= nu
+        return s
+
     def f(points: np.ndarray) -> np.ndarray:
         if points.ndim != 2 or points.shape[1] != d:
             raise ShapeError(f"the d = {d} cone takes (k, {d}) points")
         # nu * np.linalg.norm(points - 0.5, axis=1) ** alpha bit for bit: the
         # squares are added column by column in add.reduce's order, with no
         # strided reduction, in one array (0.0 + c*c is c*c)
-        sq = points[:, 0] - 0.5
-        sq *= sq
+        sq = axis(points[:, 0])
         for a in range(1, d):
-            c = points[:, a] - 0.5
-            c *= c
-            sq += c
-        np.sqrt(sq, out=sq)
-        np.power(sq, alpha, out=sq)
-        sq *= nu
-        return sq
+            sq += axis(points[:, a])
+        return outer(sq)
 
+    # f(x) is outer(axis(x_0) + ... + axis(x_{d-1})), the form grid_errors reads
+    f._axis_form = (d, axis, outer)
     return f
 
 
@@ -280,7 +305,9 @@ def holder_family(name: str, d: int, alpha: float, nu: float) -> HolderTarget:
 
     ``cone`` is ``nu * ||x - (0.5,...)||^alpha`` (exactly Hoelder-alpha with
     constant nu), ``linear`` is ``nu * x_1`` (alpha = 1 only), ``zero`` is
-    identically 0.
+    identically 0.  The cone's ``f`` carries its form ``outer(axis(x_1) + ...
+    + axis(x_d))``, ``axis(t) = (t - 0.5)^2`` and ``outer(s) = nu * sqrt(s)^alpha``,
+    which ``grid_errors`` evaluates from per-axis tables on a d > 1 grid.
     """
     if name not in _FAMILIES:
         raise RegistryError(f"unknown target family: {name!r}")

@@ -1,5 +1,6 @@
 """Quadrature error measurement, target families, and rate fitting."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from reluconstruct import (
     CertificateError,
     CplFunction,
     GridSpec,
+    HolderTarget,
     Lemma2Plan,
     RegistryError,
     ResourceError,
@@ -687,6 +689,51 @@ class TestConeTarget:
         axis = midpoints(grid)
         every = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(np.concatenate(seen), every)
+
+
+class TestConeTable:
+    """On a d > 1 grid the cone is evaluated from per-axis tables, bit for
+    bit the per-point path that any other callable takes."""
+
+    @MIDPOINT
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("d,p", [(2, 1024), (2, 777), (2, 600), (3, 64), (3, 100), (3, 37)])
+    def test_equals_per_point_path(self, d, p, alpha, quadrature):
+        t = holder_family("cone", d, alpha, 1.0)
+        net, grid = build_dd(t, 9 if d == 2 else 8).net, GridSpec(d, p)
+        assert grid_errors(t, net, grid) == grid_errors(lambda pts: t(pts), net, grid)
+
+    def test_bare_callable_and_dense_fallback(self, monkeypatch):
+        calls = count_dense_calls(monkeypatch)
+        t, grid = cone(2), GridSpec(2, 600)
+        net = random_net(np.random.default_rng(4), 2, 2)
+        want = grid_errors(lambda pts: t(pts), net, grid)
+        assert grid_errors(t, net, grid) == grid_errors(t.f, net, grid) == want
+        assert len(calls) == 3 * len(sum(block_sizes(grid, metrics._BLOCK), []))
+
+    @pytest.mark.parametrize("d,p", [(2, 777), (3, 37)])
+    def test_table_pass_builds_no_points(self, d, p, monkeypatch):
+        t = cone(d)
+        net, grid = build_dd(t, 9 if d == 2 else 8).net, GridSpec(d, p)
+        want = grid_errors(lambda pts: t(pts), net, grid)
+        seen = []
+
+        # as a tracer wraps it: functools.wraps copies the cone's form
+        @functools.wraps(t.f)
+        def recording(points):
+            seen.append(len(points))
+            return t.f(points)
+
+        def no_coords(*args):
+            raise AssertionError("a table pass laid out grid points")
+
+        monkeypatch.setattr(metrics, "_coords", no_coords)
+        assert grid_errors(HolderTarget(recording, d, t.alpha, t.nu), net, grid) == want
+        assert seen == []
+
+    def test_cone_of_another_dimension_rejected(self):
+        with pytest.raises(ShapeError, match="d = 3 cone"):
+            grid_errors(cone(3), build_dd(cone(2), 4).net, GridSpec(2, 64))
 
 
 class TestHolderFamily:

@@ -251,6 +251,21 @@ class TestChooseDelta:
                               denom_log=1.0, h_error=lambda d: 0.0)
         assert 0 < choice.delta < 0.05
 
+    def test_paper_mode_refuses_nan_denominator(self):
+        # it returned DeltaChoice(delta=nan)
+        with pytest.raises(ValueError, match="denominator, got nan"):
+            choose_delta(DeltaPolicy(mode=PAPER_SUFFICIENT), min_gap=0.1, budget=1.0,
+                         denom_log=math.nan)
+
+    def test_empirical_mode_refuses_nan_error(self):
+        # it halved delta to the floor, then reported "measured error nan
+        # still exceeds budget" as an infeasible construction
+        tried = []
+        with pytest.raises(ValueError, match="NaN at delta 0.025"):
+            choose_delta(DeltaPolicy(), min_gap=0.1, budget=1.0,
+                         h_error=lambda d: tried.append(d) or math.nan)
+        assert tried == [0.025]
+
     def test_checked_fields_cannot_be_reassigned(self):
         policy = DeltaPolicy()
         for field, value in (("floor", 1e-30), ("mode", "bisect")):
