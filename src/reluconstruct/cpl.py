@@ -165,8 +165,10 @@ def _fit_one_layer_row(xs: np.ndarray, ys: np.ndarray):
     later ``a_j`` is the slope difference across node ``j``.  Works along
     the last axis of ``ys``: each row of values gets its own weights and bias.
     """
-    slopes = np.diff(ys, axis=-1) / np.diff(xs)
-    weights = np.concatenate((slopes[..., :1], np.diff(slopes, axis=-1)), axis=-1)
+    # in place: the secant slopes, then the tail's slope differences over them
+    weights = np.diff(ys, axis=-1)
+    weights /= np.diff(xs)
+    weights[..., 1:] = np.diff(weights, axis=-1)
     return weights, ys[..., 0]
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, ReluNetwork,
-                           build_1d, cli, deserialize, evaluate, grid_errors, holder_family,
-                           l1_error, linf_error, metrics)
+                           build_1d, cli, deserialize, evaluate, evaluate_batch, grid_errors,
+                           holder_family, l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
 
@@ -334,6 +334,23 @@ class TestCheck:
             capsys.readouterr().out
         assert run(["check", "--suite", "lemma2", "--m", m, "--n", n, "--seed", "5"]) == 1
         assert "FAIL lemma2.residual-schedule: max scheduled residual 3.00e-06" in \
+            capsys.readouterr().out
+
+    def test_lemma2_node_error_is_one_batched_evaluation(self, capsys, monkeypatch):
+        # at m = n = 64 the weights reach 2.6e6; one-row products lost digits
+        # (2.57e-8 at seed 0) where one batched product reads 1.74e-9
+        built, build = [], cli.lemma2_interpolant
+
+        def recording(plan, residuals=False):
+            net, trace = build(plan, residuals)
+            built.append((plan.samples, net))
+            return net, trace
+
+        monkeypatch.setattr(cli, "lemma2_interpolant", recording)
+        assert run(["check", "--suite", "lemma2", "--m", "64", "--n", "64", "--seed", "0"]) == 0
+        ((samples, net),) = built
+        node_err = float(np.max(np.abs(evaluate_batch(net, samples.xs) - samples.ys)))
+        assert f"PASS lemma2.node-exactness: max node error {node_err:.2e}" in \
             capsys.readouterr().out
 
     def test_infeasible_closure_exits_3(self, capsys, monkeypatch):

@@ -30,7 +30,8 @@ from reluconstruct import (
     net_to_cpl_exact,
 )
 from reluconstruct import construct, cpl, metrics
-from reluconstruct.cpl import MIN_BREAK_GAP, _merged_breaks, _sliver_l1, _thin_breaks
+from reluconstruct.cpl import (MIN_BREAK_GAP, _fit_one_layer_row, _merged_breaks, _sliver_l1,
+                              _thin_breaks)
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -95,6 +96,19 @@ class TestLemma1Interpolant:
         assert max(abs(evaluate(net, x) - y) for x, y in zip(xs, ys)) <= 1e-9
         for a, b in zip(xs[:-1], xs[1:]):
             assert segment_is_linear(net, a, b)
+
+    @pytest.mark.parametrize("rows,k", [(1, 2), (1, 51), (7, 3), (33, 129), (513, 514)])
+    def test_output_row_is_the_slope_formula_bit_for_bit(self, rows, k):
+        # the in-place fit against the formula it replaced; lemma 2's
+        # reference in test_lemma2 calls the same function
+        rng = np.random.default_rng(k)
+        xs = np.cumsum(rng.uniform(0.01, 1.0, k))
+        ys = rng.standard_normal((rows, k))
+        slopes = np.diff(ys, axis=-1) / np.diff(xs)
+        want = np.concatenate((slopes[..., :1], np.diff(slopes, axis=-1)), axis=-1)
+        weights, bias = _fit_one_layer_row(xs, ys)
+        assert np.array_equal(weights.view(np.int64), want.view(np.int64))
+        assert np.array_equal(bias, ys[:, 0])
 
     def test_width_is_sample_count_minus_one(self):
         rng = np.random.default_rng(5)

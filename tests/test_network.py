@@ -13,14 +13,17 @@ from reluconstruct import (
     SampleSet,
     ShapeError,
     affine_post,
+    build_1d,
     compose,
     deserialize,
     evaluate,
     evaluate_batch,
+    holder_family,
     lemma1_interpolant,
     parameter_count,
     serialize,
 )
+from reluconstruct import network
 
 
 def naive_eval(net, x):
@@ -33,6 +36,15 @@ def naive_eval(net, x):
         ]
     w, b = net.layers[-1]
     return sum(w[0][j] * h[j] for j in range(len(h))) + b[0]
+
+
+def out_of_place(net, xs):
+    """The layer chain as one product per layer, with no blocking or buffers."""
+    h = xs.reshape(len(xs), -1)
+    for w, b in net.layers[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+    w, b = net.layers[-1]
+    return (h @ w.T + b)[:, 0]
 
 
 def random_net(rng, input_dim, widths, scale=1.0):
@@ -87,33 +99,62 @@ class TestEvaluate:
             assert evaluate(net, x) == pytest.approx(v, rel=1e-13, abs=1e-13)
 
     def test_batch_equals_out_of_place_layers_bit_for_bit(self):
+        # rows that fit in one block
         rng = np.random.default_rng(8)
         for input_dim, widths in ((1, [7]), (2, [16, 9]), (3, [33, 5, 12])):
             net = random_net(rng, input_dim, widths)
             xs = rng.uniform(-2, 2, (300, input_dim))
             before = xs.copy()
-            h = xs
-            for w, b in net.layers[:-1]:
-                h = np.maximum(h @ w.T + b, 0.0)
-            w, b = net.layers[-1]
-            want = (h @ w.T + b)[:, 0]
+            want = out_of_place(net, xs)
             got = evaluate_batch(net, xs)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert np.array_equal(xs, before)
 
-    def test_batch_keeps_two_activation_matrices(self):
-        # 2048 rows of width 256: 4 MiB a matrix; out of place took three
+    def test_several_blocks_agree_with_one_product(self):
+        # build_1d at N = 256 is 513 wide, so its 65,793 grid nodes take 129
+        # blocks of 511 rows; the reference takes them 4096 rows a product.
+        # BLAS picks its kernels by the row count, so a few values move in
+        # their last bits, within the 1e-11 evaluate_batch documents
+        c = build_1d(holder_family("cone", 1, 0.5, 1.0), 256)
+        net, grid = c.net, c.grid
+        assert network._EVAL_BLOCK // max(net.hidden_widths) < grid.size
+        want = np.concatenate([out_of_place(net, grid[i:i + 4096])
+                               for i in range(0, grid.size, 4096)])
+        np.testing.assert_allclose(evaluate_batch(net, grid), want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("block", [1, 33, 33 * 7, 33 * 1000])
+    def test_every_block_size_and_remainder(self, block, monkeypatch):
+        # four hidden layers take the two buffers in turn; 1000 rows leave a
+        # short last block at 7 rows a block
+        rng = np.random.default_rng(11)
+        net = random_net(rng, 2, [33, 5, 12, 7])
+        xs = rng.uniform(-2, 2, (1000, 2))
+        monkeypatch.setattr(network, "_EVAL_BLOCK", block)
+        np.testing.assert_allclose(evaluate_batch(net, xs), out_of_place(net, xs),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    def test_empty_input(self, input_dim):
+        net = random_net(np.random.default_rng(10), input_dim, [5, 4])
+        assert evaluate_batch(net, np.empty((0, input_dim))).shape == (0,)
+        if input_dim == 1:
+            assert evaluate_batch(net, []).shape == (0,)
+
+    @pytest.mark.parametrize("rows", [2048, 65536])
+    def test_batch_memory_does_not_grow_with_rows(self, rows):
+        # three hidden layers of width 256 share two 2 MiB block buffers;
+        # besides them the output and small temporaries (ufunc buffers, one
+        # output column). Two activation matrices took 256 MiB at 65,536 rows
         rng = np.random.default_rng(9)
         net = random_net(rng, 1, [256, 256, 256])
-        xs = rng.uniform(-1, 1, 2048)
-        matrix = xs.size * 256 * 8
+        xs = rng.uniform(-1, 1, rows)
         tracemalloc.start()
         try:
             evaluate_batch(net, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * matrix
+        assert peak < 2 * network._EVAL_BLOCK * 8 + xs.nbytes + 2**18
 
 
 class TestValidation:
