@@ -40,12 +40,12 @@ from .construct import (
 )
 from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
-from .errors import ConstructionInfeasibleError, RegistryError
+from .errors import ConstructionInfeasibleError, RegistryError, ShapeError
 # linf_error is unused here but stays importable: the benchmark's tracer patches
 # cli.l1_error and cli.linf_error by name
 from .metrics import (GridSpec, default_grid, grid_errors, holder_family, l1_error, linf_error,
                       rate_fit)
-from .network import deserialize, evaluate, evaluate_batch, parameter_count, serialize
+from .network import deserialize, evaluate_batch, parameter_count, serialize
 
 # errors at or below this are treated as exact in rate summaries
 RATE_ERROR_FLOOR = 1e-9
@@ -412,11 +412,17 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.net, "rb") as fh:
         net = deserialize(fh.read())
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        print(format(evaluate(net, [float(tok) for tok in line.split()]), ".17g"))
+    # every point is read first and evaluated in one batched call: a one-row
+    # product (BLAS gemv) loses digits against large weights, and a malformed
+    # line fails before anything is printed
+    points = [[float(tok) for tok in line.split()] for line in sys.stdin if line.strip()]
+    if any(len(p) != net.input_dim for p in points):
+        raise ShapeError(f"every input line needs {net.input_dim} coordinates")
+    xs = np.array(points).reshape(-1, net.input_dim)
+    if not np.isfinite(xs).all():
+        raise ShapeError("input entries must be finite")
+    for value in evaluate_batch(net, xs):
+        print(format(value, ".17g"))
     return 0
 
 

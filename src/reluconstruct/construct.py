@@ -70,6 +70,10 @@ EMPIRICAL_SHRINK = "empirical-shrink"
 # a factor ~(1 + block/gap) per stage, which compounds factorially.
 RESIDUAL_SNAP = 1e-12
 
+# Share of a block's width that each x_{k+1} - x_{k-1} must exceed for the
+# three-pass lemma-2 stages (see lemma2_interpolant).
+LINE_MARGIN = 1e-14
+
 # Factor between successive empirical-shrink delta candidates.
 DELTA_SHRINK = 0.5
 
@@ -129,6 +133,13 @@ def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
     return 3.0 * max_y * math.prod(1.0 + num / den)
 
 
+def _lines_positive(xs, m: int, n: int) -> bool:
+    """Whether every block's ``x_{k+1} - x_{k-1}`` exceeds ``LINE_MARGIN`` of its width."""
+    blocks = np.asarray(xs, dtype=float)[: m * (n + 1)].reshape(m, n + 1)
+    width = blocks[:, n:] - blocks[:, :1]
+    return bool(np.all(blocks[:, 2:] - blocks[:, :-2] > LINE_MARGIN * width))
+
+
 def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     """Two-hidden-layer interpolant with widths exactly ``[2m, 2n+1]``.
 
@@ -148,19 +159,37 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     ``residuals=True`` it updates every row and records the whole grid.
     The last sample lies past every block; its residual is 0 after stage 0.
 
+    On rows r > k a piece's pre-activation is ``s (x_r - x_{k-1}) >= |f_k|
+    > RESIDUAL_SNAP``, s its slope, and its f64 value is within about 11
+    ulps of s times the block width.  So when every ``x_{k+1} - x_{k-1}``
+    exceeds ``LINE_MARGIN`` of its block's width (:func:`_lines_positive`,
+    checked once per call) ``max(., 0)`` is a no-op there, and a stage takes
+    three passes: multiply, add, and subtract the line, its sign folded
+    exactly into its coefficients.  Other grids, and ``residuals=True``,
+    take five.  Stage k leaves row k as it read it, so the sign classes and
+    the pieces' break-point values are filled after the loop.
+
     Returns ``(network, trace)``; the trace holds the n + 2 grid-size
     residual vectors only with ``residuals=True``.
     """
     m, n = plan.m, plan.n
-    xs, ys = plan.samples.xs, plan.samples.ys
-    bidx = plan.break_indices
-    bx = xs[bidx]
-
-    w1 = np.ones((2 * m, 1))
-    b1 = -bx[:-1]
-
-    snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
+    bx = plan.samples.xs[plan.break_indices]
     trace = ResidualTrace()
+    # the stage buffers are gone before the fit allocates its output
+    g_break = _lemma2_stages(plan, residuals, trace)
+    w3 = np.ones((1, 2 * n + 1))
+    w3[0, 2::2] = -1.0
+    layers = ((np.ones((2 * m, 1)), -bx[:-1]), _fit_one_layer_row(bx, g_break),
+              (w3, np.zeros(1)))
+    return ReluNetwork(1, layers), trace
+
+
+def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> np.ndarray:
+    """Break-point values of the second layer: row 0 the sample CPL, rows 2k-1 and 2k
+    stage k's plus and minus pieces.  Fills the trace."""
+    m, n = plan.m, plan.n
+    xs, ys = plan.samples.xs, plan.samples.ys
+    snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
 
     # every operand C-ordered: a transposed view makes each stage's pass strided
     xb = xs[:-1].reshape(m, n + 1).T.copy()
@@ -168,6 +197,10 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     f = ys[:-1].reshape(m, n + 1).T.copy()
     tail = ys[-1:].copy()
     line = np.empty_like(f)
+    # for stage k, row k-1: x_k - x_{k-1}, and the block ends x_{j(n+1)} and
+    # x_{j(n+1)+n} (the break points 2j and 2j+1) less x_{k-1}
+    dx = xb[1:] - xb[:-1]
+    from_prev = np.stack((xb[0] - xb[:-1], xb[n] - xb[:-1]), axis=-1)
 
     def record():
         r = np.empty(xs.size)
@@ -192,46 +225,55 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
 
     if residuals:
         record()
-    # break-point values of the 2n+1 second-layer units: row 0 fits the
-    # sample CPL (stage 0), rows 2k-1 and 2k the plus and minus pieces of stage k
-    g_break = np.zeros((2 * n + 1, 2 * m + 1))
-    g_break[0] = ys[bidx]
     update(0 if residuals else 1, f[0].copy(), f[n].copy())
     tail -= np.maximum(tail, 0.0)
     if residuals:
         record()
 
-    # block ends x_{j(n+1)} and x_{j(n+1)+n}: the break points 2j and 2j+1
-    block_ends = np.column_stack((xb[0], xb[n]))
-    for k in range(1, n + 1):
-        vals = f[k]
-        snapped = np.abs(vals) <= snap
+    three_pass = not residuals and _lines_positive(xs, m, n)
+    # row k-1 holds the residual that stage k reads; without residuals no
+    # stage writes row k after stage k-1, so f keeps them
+    vals = np.empty((n, m)) if residuals else f[1:]
+    # stage n updates no row unless every row is recorded
+    for k in range(1, n + 1 if residuals else n):
+        v = f[k]
+        if residuals:
+            vals[k - 1] = v
+        snapped = np.abs(v) <= snap
+        if three_pass:
+            # v / dx is the piece's sign times its slope |v| / dx, exactly
+            s = v / dx[k - 1]
+            s[snapped] = 0.0
+            e0, e1 = s * from_prev[k - 1, :, 0], s * from_prev[k - 1, :, 1]
+            rows = line[k + 1:n]
+            np.multiply((e1 - e0) / t[n], t[k + 1:n], out=rows)
+            rows += e0
+            f[k + 1:n] -= rows
+            f[n] -= e1
+            continue
+        ends = (np.abs(v) / dx[k - 1])[:, None] * from_prev[k - 1]
+        ends[snapped] = 0.0
         # ties (residual exactly zero) go to the plus class
-        plus = (vals >= 0) | snapped
-        trace.lambda_plus.append(np.nonzero(plus)[0])
-        trace.lambda_minus.append(np.nonzero(~plus)[0])
-
-        xa = xb[k - 1]
-        slope = np.abs(vals) / (xb[k] - xa)
-        ends = slope[:, None] * (block_ends - xa[:, None])
-        g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
-        g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
-
-        lo = 0 if residuals else k + 1
-        if lo <= n:
-            ends[snapped] = 0.0
-            update(lo, ends[:, 0], ends[:, 1], np.where(plus, 1.0, -1.0))
+        sign = np.where((v >= 0) | snapped, 1.0, -1.0)
+        update(0 if residuals else k + 1, ends[:, 0], ends[:, 1], sign)
         if residuals:
             # a stage is ``f - gp + gm``: its last step adds 0.0, which turns
             # a -0 into +0.  A zero's sign changes no nonzero value of a
             # later stage, so adding 0.0 to the record gives the same bits
             record()[...] += 0.0
 
-    w3 = np.ones((1, 2 * n + 1))
-    w3[0, 2::2] = -1.0
-    b3 = np.zeros(1)
-    net = ReluNetwork(1, ((w1, b1), _fit_one_layer_row(bx, g_break), (w3, b3)))
-    return net, trace
+    snapped = np.abs(vals) <= snap
+    plus = (vals >= 0) | snapped
+    trace.lambda_plus = [np.flatnonzero(row) for row in plus]
+    trace.lambda_minus = [np.flatnonzero(row) for row in ~plus]
+    ends = (np.abs(vals) / dx)[..., None] * from_prev
+    g_break = np.zeros((2 * n + 1, 2 * m + 1))
+    g_break[0] = ys[plan.break_indices]
+    # [k-1, 0] and [k-1, 1] are rows 2k-1 and 2k, each with its (m, 2) block ends
+    pieces = g_break[1:].reshape(n, 2, 2 * m + 1)[..., :-1].reshape(n, 2, m, 2)
+    np.copyto(pieces[:, 0], ends, where=(plus & ~snapped)[..., None])
+    np.copyto(pieces[:, 1], ends, where=~plus[..., None])
+    return g_break
 
 
 # ---------------------------------------------------------------------------

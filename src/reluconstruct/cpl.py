@@ -164,12 +164,22 @@ def _fit_one_layer_row(xs: np.ndarray, ys: np.ndarray):
     linear on every segment when ``a_0`` is the first secant slope and each
     later ``a_j`` is the slope difference across node ``j``.  Works along
     the last axis of ``ys``: each row of values gets its own weights and bias.
+    Both come back read-only and own their memory, so a network keeps them
+    without a copy.
     """
-    # in place: the secant slopes, then the tail's slope differences over them
+    # in place: the secant slopes, then the tail's slope differences over
+    # them 64 rows at a time, where np.diff of the whole matrix would be a
+    # second array of the output's size
     weights = np.diff(ys, axis=-1)
     weights /= np.diff(xs)
-    weights[..., 1:] = np.diff(weights, axis=-1)
-    return weights, ys[..., 0]
+    rows = weights.reshape(-1, weights.shape[-1])
+    for i in range(0, rows.shape[0], 64):
+        block = rows[i:i + 64]
+        block[:, 1:] = np.diff(block, axis=1)
+    bias = ys[..., 0].copy()
+    weights.setflags(write=False)
+    bias.setflags(write=False)
+    return weights, bias
 
 
 def lemma1_interpolant(samples: SampleSet) -> ReluNetwork:
@@ -260,27 +270,27 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     scale = np.maximum(np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])), 1.0)
     flagged = np.abs(np.diff(slopes)) > SLOPE_TOL * scale
 
-    kinks = []
-    idx = np.nonzero(flagged)[0]
-    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1) if idx.size else []
-    for run in runs:
-        a_i, b_i = run[0], run[-1]
-        sl, sr = slopes[a_i], slopes[b_i + 1]
-        separated = abs(sl - sr) > SLOPE_TOL * max(abs(sl), abs(sr), 1.0)
-        if b_i - a_i <= 1 and separated:
-            # one kink in the run: intersect the pure lines on either side
-            xa, ya = probes[a_i], ys[a_i]
-            xb, yb = probes[b_i + 2], ys[b_i + 2]
-            x_star = (yb - sr * xb - ya + sl * xa) / (sl - sr)
-            kinks.append(min(max(x_star, probes[a_i]), probes[b_i + 2]))
-        else:
-            # several kinks (e.g. a spike returning to the same slope):
-            # keep the run's probe points, trading exactness for robustness
-            kinks.extend(probes[a_i + 1 : b_i + 2])
+    # runs of consecutive flagged segments, run r spanning a_i[r]..b_i[r]:
+    # an entry ends a run when the next one starts a run, and the roll gives
+    # the last entry starts[0], which is True
+    idx = np.flatnonzero(flagged)
+    starts = np.diff(idx, prepend=-2) > 1
+    a_i, b_i = idx[starts], idx[np.roll(starts, -1)]
+    sl, sr = slopes[a_i], slopes[b_i + 1]
+    separated = np.abs(sl - sr) > SLOPE_TOL * np.maximum(np.maximum(np.abs(sl), np.abs(sr)), 1.0)
+    single = (b_i - a_i <= 1) & separated
+    # one kink in a run: intersect the pure lines on either side
+    sl, sr, a_s, b_s = sl[single], sr[single], a_i[single], b_i[single] + 2
+    xa, ya, xb, yb = probes[a_s], ys[a_s], probes[b_s], ys[b_s]
+    x_star = (yb - sr * xb - ya + sl * xa) / (sl - sr)
+    # several kinks (e.g. a spike returning to the same slope): keep the
+    # run's probe points, trading exactness for robustness
+    several = np.repeat(~single, b_i - a_i + 1)
+    kinks = np.concatenate((np.minimum(np.maximum(x_star, xa), xb), probes[idx[several] + 1]))
 
     a, b = probes[0], probes[-1]
-    if kinks:
-        kinks = np.unique(np.asarray(kinks))
+    if kinks.size:
+        kinks = np.unique(kinks)
         gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b)) * 10
         keep = [kinks[0]] if kinks[0] > a + gap else []
         for k in kinks[1:]:

@@ -3,9 +3,12 @@
 A network is a chain of affine maps with componentwise ``max(0, .)`` between
 them and no activation after the last map.  Networks here are values: the
 weight arrays are frozen on construction and every operation returns a new
-network, so instances are safe to share across threads.  ``evaluate_batch``
-walks its points in fixed row blocks, so its working memory is two 2 MiB
-buffers plus the result, however many points and layers it is given.
+network, so instances are safe to share across threads.  A read-only weight
+array that owns its memory is shared rather than copied: ``compose``,
+``affine_post`` and the lemma-2 fit hand their frozen layers on, so a layer
+common to several networks exists once.  ``evaluate_batch`` walks its
+points in fixed row blocks, so its working memory is two 2 MiB buffers plus
+the result, however many points and layers it is given.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ __all__ = [
 _EVAL_BLOCK = 2**18
 
 
-def _frozen_array(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _frozen_array(a):
+    """``a`` as a read-only float64 array: ``a`` itself when it owns read-only memory, else a copy."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 

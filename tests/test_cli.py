@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, ReluNetwork,
-                           build_1d, cli, deserialize, evaluate, evaluate_batch, grid_errors,
+                           build_1d, cli, deserialize, evaluate_batch, grid_errors,
                            holder_family, l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
@@ -141,7 +141,46 @@ class TestEval:
         lines = capsys.readouterr().out.strip().splitlines()
         vals = [float(v) for v in lines]
         net = deserialize(out.read_bytes())
-        assert vals == [evaluate(net, 0.25), evaluate(net, 0.5), evaluate(net, 0.75)]
+        assert vals == evaluate_batch(net, [0.25, 0.5, 0.75]).tolist()
+
+    def test_eval_is_one_batched_evaluation_in_input_order(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "net.json"
+        run(["construct", "--target", "cone", "--d", "2", "--alpha", "0.5",
+             "--N", "4", "--out", out, "--grid-points", "64"])
+        capsys.readouterr()
+        rng = np.random.default_rng(4)
+        pts = rng.random((9, 2))
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_batch", lambda net, xs: calls.append(xs) or evaluate_batch(net, xs))
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{a!r} {b!r}\n" for a, b in pts.tolist())))
+        assert run(["eval", "--net", out]) == 0
+        vals = [float(v) for v in capsys.readouterr().out.split()]
+        assert len(calls) == 1 and np.array_equal(calls[0], pts)
+        assert vals == evaluate_batch(deserialize(out.read_bytes()), pts).tolist()
+
+    @pytest.mark.parametrize("text", ["0.25\n0.5 0.1\n", "0.25\nabc\n", "0.25\nnan\n"],
+                             ids=["dimension", "not-a-number", "not-finite"])
+    def test_malformed_line_fails_before_any_output(self, tmp_path, capsys, monkeypatch, text):
+        out = tmp_path / "net.json"
+        run(["construct", "--target", "cone", "--d", "1", "--alpha", "1",
+             "--N", "2", "--out", out, "--grid-points", "1000"])
+        capsys.readouterr()
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(["eval", "--net", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error:" in captured.err
+
+    def test_eval_of_no_points_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "net.json"
+        run(["construct", "--target", "cone", "--d", "1", "--alpha", "1",
+             "--N", "2", "--out", out, "--grid-points", "1000"])
+        capsys.readouterr()
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n"))
+        assert run(["eval", "--net", out]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "net.json"

@@ -15,8 +15,10 @@ from reluconstruct import (
     parameter_count,
     serialize,
 )
-from reluconstruct.construct import RESIDUAL_SNAP
-from reluconstruct.cpl import _fit_one_layer_row
+from reluconstruct import DeltaPolicy, build_dd, holder_family
+from reluconstruct import construct
+from reluconstruct.construct import RESIDUAL_SNAP, _closure_grid, _lines_positive
+from reluconstruct.cpl import MIN_BREAK_GAP, _fit_one_layer_row
 
 
 def bounded_grid(rng, count):
@@ -262,6 +264,209 @@ class TestAgainstFullGridReference:
             snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
             snapped += int(np.count_nonzero((np.abs(f) <= snap) & (f != 0)))
         assert minus > 0 and snapped > 0
+
+
+def five_pass_lemma2(plan, residuals=False):
+    """The block-layout stage loop with ``max(., 0)`` and a sign multiply in every stage.
+
+    Returns ``(network, lambda_plus, lambda_minus, residuals)``.
+    """
+    m, n = plan.m, plan.n
+    xs, ys = plan.samples.xs, plan.samples.ys
+    bidx = plan.break_indices
+    bx = xs[bidx]
+    snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
+    lam_plus, lam_minus, trace = [], [], []
+
+    xb = xs[:-1].reshape(m, n + 1).T.copy()
+    t = xb - xb[0]
+    f = ys[:-1].reshape(m, n + 1).T.copy()
+    tail = ys[-1:].copy()
+    line = np.empty_like(f)
+
+    def record():
+        r = np.empty(xs.size)
+        r[:-1].reshape(m, n + 1)[...] = f.T
+        r[-1] = tail[0]
+        trace.append(r)
+        return r
+
+    def update(lo, e0, e1, sign=1.0):
+        np.multiply((e1 - e0) / t[n], t[lo:n], out=line[lo:n])
+        line[lo:n] += e0
+        line[0], line[n] = e0, e1
+        rows = line[lo:]
+        np.maximum(rows, 0.0, out=rows)
+        rows *= sign
+        f[lo:] -= rows
+
+    if residuals:
+        record()
+    g_break = np.zeros((2 * n + 1, 2 * m + 1))
+    g_break[0] = ys[bidx]
+    update(0 if residuals else 1, f[0].copy(), f[n].copy())
+    tail -= np.maximum(tail, 0.0)
+    if residuals:
+        record()
+
+    block_ends = np.column_stack((xb[0], xb[n]))
+    for k in range(1, n + 1):
+        vals = f[k]
+        snapped = np.abs(vals) <= snap
+        plus = (vals >= 0) | snapped
+        lam_plus.append(np.nonzero(plus)[0])
+        lam_minus.append(np.nonzero(~plus)[0])
+        xa = xb[k - 1]
+        slope = np.abs(vals) / (xb[k] - xa)
+        ends = slope[:, None] * (block_ends - xa[:, None])
+        g_break[2 * k - 1, :-1] = np.where((plus & ~snapped)[:, None], ends, 0.0).ravel()
+        g_break[2 * k, :-1] = np.where((~plus)[:, None], ends, 0.0).ravel()
+        lo = 0 if residuals else k + 1
+        if lo <= n:
+            ends[snapped] = 0.0
+            update(lo, ends[:, 0], ends[:, 1], np.where(plus, 1.0, -1.0))
+        if residuals:
+            record()[...] += 0.0
+
+    w3 = np.ones((1, 2 * n + 1))
+    w3[0, 2::2] = -1.0
+    layers = ((np.ones((2 * m, 1)), -bx[:-1]), _fit_one_layer_row(bx, g_break),
+              (w3, np.zeros(1)))
+    return ReluNetwork(1, layers), lam_plus, lam_minus, trace
+
+
+def sample_values(kind, rng, xs):
+    """Nonnegative samples: random, zero-heavy, block-linear, or with exact ties."""
+    if kind == "random":
+        return rng.uniform(0.0, 2.0, xs.size)
+    if kind == "zeros":
+        ys = rng.uniform(0.0, 1.0, xs.size)
+        ys[rng.random(xs.size) < 0.6] = 0.0
+        return ys
+    if kind == "linear":
+        # one line per block: stage 0 leaves rounding noise that the snap zeroes
+        return 1.0 + 3.0 * xs
+    # multiples of 1/8 on a dyadic grid: stages meet residuals of exactly 0
+    return rng.integers(0, 3, xs.size) / 8.0
+
+
+def dyadic_grid(count):
+    return np.arange(count) / 1024.0
+
+
+def assert_matches_five_pass(plan, residuals):
+    net, trace = lemma2_interpolant(plan, residuals=residuals)
+    ref_net, ref_plus, ref_minus, ref_trace = five_pass_lemma2(plan, residuals=residuals)
+    assert serialize(net) == serialize(ref_net)
+    for got, want in ((trace.lambda_plus, ref_plus), (trace.lambda_minus, ref_minus)):
+        assert len(got) == len(want) == plan.n
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(trace.residuals) == len(ref_trace)
+    for got, want in zip(trace.residuals, ref_trace):
+        assert got.tobytes() == want.tobytes()
+
+
+SHAPES = [(1, 1), (1, 256), (256, 1), (2, 255), (255, 2), (7, 13), (33, 64), (100, 5),
+          (128, 128), (256, 256)]
+KINDS = ["random", "zeros", "linear", "ties"]
+
+
+class TestAgainstFivePassLoop:
+    """Three passes per stage where the check passes, bit for bit with five."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_default_mode(self, m, n, kind):
+        rng = np.random.default_rng(m * 1000 + n)
+        count = m * (n + 1) + 1
+        xs = dyadic_grid(count) if kind == "ties" else bounded_grid(rng, count)
+        plan = Lemma2Plan(m, n, SampleSet(xs, sample_values(kind, rng, xs), m, n))
+        assert _lines_positive(xs, m, n)
+        assert_matches_five_pass(plan, residuals=False)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 64), (64, 1), (5, 9), (64, 64), (16, 256)])
+    def test_residual_mode(self, m, n, kind):
+        rng = np.random.default_rng(m * 7 + n)
+        count = m * (n + 1) + 1
+        xs = dyadic_grid(count) if kind == "ties" else bounded_grid(rng, count)
+        plan = Lemma2Plan(m, n, SampleSet(xs, sample_values(kind, rng, xs), m, n))
+        assert_matches_five_pass(plan, residuals=True)
+
+    def test_ties_and_snaps_are_reached(self):
+        # the value each stage k reads: exactly zero (a tie), or nonzero and snapped
+        ties = snaps = 0
+        for m, n in SHAPES[:6]:
+            for kind in ("ties", "linear"):
+                rng = np.random.default_rng(m * 1000 + n)
+                count = m * (n + 1) + 1
+                xs = dyadic_grid(count) if kind == "ties" else bounded_grid(rng, count)
+                ys = sample_values(kind, rng, xs)
+                _, _, _, trace = five_pass_lemma2(
+                    Lemma2Plan(m, n, SampleSet(xs, ys, m, n)), residuals=True)
+                snap = RESIDUAL_SNAP * max(1.0, float(ys.max()))
+                for k in range(1, n + 1):
+                    vals = trace[k][np.arange(m) * (n + 1) + k]
+                    ties += int(np.count_nonzero(vals == 0.0))
+                    snaps += int(np.count_nonzero((vals != 0.0) & (np.abs(vals) <= snap)))
+        assert ties > 0 and snaps > 0
+
+    def test_grid_that_fails_the_check_takes_five_passes(self, monkeypatch):
+        # two blocks about 1.5e3 wide, each with a run of points one ulp
+        # (1.1e-13, just above MIN_BREAK_GAP) apart some 1e3 past its start
+        n = 10
+
+        def block(start, run, end):
+            return np.concatenate(([start], run + np.spacing(abs(run)) * np.arange(n - 1), [end]))
+
+        xs = np.concatenate((block(-2000.0, -1000.0, -500.0), block(-499.0, 600.0, 1000.0), [1001.0]))
+        assert MIN_BREAK_GAP < np.diff(xs).min() < 1.2 * MIN_BREAK_GAP
+        rng = np.random.default_rng(52)
+        plan = Lemma2Plan(2, n, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), 2, n))
+        assert not _lines_positive(xs, 2, n)
+        assert_matches_five_pass(plan, residuals=False)
+        # three passes would drop a max(., 0) that clips here
+        monkeypatch.setattr(construct, "_lines_positive", lambda *args: True)
+        assert serialize(lemma2_interpolant(plan)[0]) != serialize(five_pass_lemma2(plan)[0])
+
+
+def closure_interiors():
+    """Interior breaks drawn as the benchmark's closures and the closure check suite draw them."""
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for m, n in ((2, 2), (3, 4), (4, 4), (8, 8), (16, 16)):
+            gaps = np.cumsum(rng.uniform(0.5, 1.5, m * n + 1))
+            yield m, n, 0.03 + 0.94 * gaps[:-1] / gaps[-1]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for m, n in ((2, 2), (3, 4), (4, 4), (8, 8)):
+            inner = np.sort(rng.uniform(0.05, 0.95, m * n))
+            if np.diff(np.concatenate(([0.0], inner, [1.0]))).min() < 5e-3:
+                inner = np.linspace(0.08, 0.92, m * n)
+            yield m, n, inner
+            yield m, n, inner[: m * n // 2]
+
+
+class TestLibraryGridsPassTheCheck:
+    def test_build_1d_grids(self):
+        floor = DeltaPolicy().floor
+        for big_n in range(2, 257):
+            interior = np.arange(1, big_n * big_n) / (big_n * big_n)
+            for delta in (floor, 0.25 / (big_n * big_n)):
+                xs = _closure_grid(interior, big_n, big_n, delta)
+                assert _lines_positive(xs, big_n, big_n), (big_n, delta)
+
+    def test_closure_grids_at_the_delta_floor(self):
+        for m, n, interior in closure_interiors():
+            xs = _closure_grid(interior, m, n, DeltaPolicy().floor)
+            assert _lines_positive(xs, m, n), (m, n, interior.size)
+
+    @pytest.mark.parametrize("d,cells", [(2, n) for n in range(2, 17)] + [(3, n) for n in range(2, 17)])
+    def test_build_dd_padded_grids(self, d, cells):
+        big_n = next(k for k in range(2, 100) if k * k >= cells ** d)
+        c = build_dd(holder_family("cone", d, 0.5, 1.0), big_n)
+        assert c.n == cells
+        assert _lines_positive(c.grid, c.n_prime, c.n_prime)
 
 
 class TestPreconditions:

@@ -23,7 +23,8 @@ from reluconstruct import (
     parameter_count,
     serialize,
 )
-from reluconstruct import network
+from reluconstruct import construct, network
+from reluconstruct.cpl import _fit_one_layer_row
 
 
 def naive_eval(net, x):
@@ -255,6 +256,84 @@ class TestAffinePost:
         net = relu_identity_net()
         with pytest.raises(ValueError):
             affine_post(net, float("inf"), 0.0)
+
+
+def frozen(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class TestSharedLayers:
+    """A read-only array that owns its memory is shared; anything else is copied."""
+
+    def test_read_only_owner_arrays_are_shared(self):
+        w, b = frozen([[1.0], [-1.0]]), frozen([0.0, 0.5])
+        net = ReluNetwork(1, ((w, b), (frozen([[1.0, 1.0]]), frozen([0.0]))))
+        assert net.layers[0][0] is w and net.layers[0][1] is b
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,
+        lambda a: frozen(a)[:, ::1].view(),
+        lambda a: a.view(),
+        lambda a: a.astype(np.float32),
+        lambda a: a.tolist(),
+    ], ids=["writeable", "view-of-read-only", "read-only-view-of-writeable", "float32", "list"])
+    def test_everything_else_is_copied(self, make):
+        w = np.array([[1.0], [-1.0]])
+        given = make(w)
+        if isinstance(given, np.ndarray) and given.base is w:
+            given.setflags(write=False)
+        net = ReluNetwork(1, ((given, [0.0, 0.5]), ([[1.0, 1.0]], [0.0])))
+        layer = net.layers[0][0]
+        assert not np.shares_memory(layer, w) and not layer.flags.writeable
+        assert layer.dtype == np.float64 and layer.base is None
+
+    def test_mutating_the_callers_array_leaves_the_network(self):
+        w = np.array([[1.0], [-1.0]])
+        net = ReluNetwork(1, ((w, np.zeros(2)), (np.ones((1, 2)), np.zeros(1))))
+        before = serialize(net)
+        w[0, 0] = 5.0
+        assert serialize(net) == before
+
+    def test_compose_and_affine_post_share_the_layers_they_keep(self):
+        rng = np.random.default_rng(3)
+        inner, outer = random_net(rng, 2, [3, 4]), random_net(rng, 1, [5, 6])
+        post = affine_post(outer, 2.0, 1.0)
+        assert all(a is b for a, b in zip(post.layers[0], outer.layers[0]))
+        chained = compose(outer, inner)
+        assert chained.layers[0][0] is inner.layers[0][0]
+        assert chained.layers[-2][0] is outer.layers[-2][0]
+
+    def test_build_1d_shares_its_hidden_layers_with_the_lemma2_net(self, monkeypatch):
+        fits = []
+        fit = construct.lemma2_interpolant
+        monkeypatch.setattr(construct, "lemma2_interpolant",
+                            lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+        final = build_1d(holder_family("cone", 1, 0.5, 1.0), 16).net
+        shared = [net for net, _ in fits if np.shares_memory(net.layers[1][0], final.layers[1][0])]
+        assert len(shared) == 1
+        assert all(a is b for a, b in zip(final.layers[0] + final.layers[1],
+                                          shared[0].layers[0] + shared[0].layers[1]))
+
+    def test_one_layer_fit_is_the_slope_formula_in_bounded_memory(self):
+        # 513 x 513 is the lemma-2 fit at N = 256; a whole-matrix np.diff of
+        # the slopes would take a second output-sized array
+        rng = np.random.default_rng(513)
+        xs = np.cumsum(rng.uniform(0.01, 1.0, 513))
+        ys = rng.standard_normal((513, 513))
+        slopes = np.diff(ys, axis=-1) / np.diff(xs)
+        want = np.concatenate((slopes[..., :1], np.diff(slopes, axis=-1)), axis=-1)
+        tracemalloc.start()
+        try:
+            weights, bias = _fit_one_layer_row(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.tobytes() == want.tobytes() and bias.tobytes() == ys[:, 0].tobytes()
+        assert peak < 2 * weights.nbytes
+        for a in (weights, bias):
+            assert a.base is None and not a.flags.writeable
 
 
 class TestSerialization:
