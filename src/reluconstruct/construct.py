@@ -39,7 +39,7 @@ from .errors import (
     ShapeError,
     _integer,
 )
-from .network import ReluNetwork, affine_post, compose
+from .network import ReluNetwork, _freeze, affine_post, compose
 
 __all__ = [
     "Lemma2Plan",
@@ -110,14 +110,22 @@ class ResidualTrace:
 
     ``residuals[k]`` holds the stage-k residual at every grid point
     (k = 0 .. n+1) when ``lemma2_interpolant`` was asked for them, and is
-    empty otherwise; ``lambda_plus[k-1]``/``lambda_minus[k-1]`` the sign
-    classes of stage k.  The break indices are the plan's
-    :attr:`Lemma2Plan.break_indices`.
+    empty otherwise; row k-1 of the (n, m) mask ``plus`` marks the blocks in
+    stage k's plus class.  ``lambda_plus[k-1]``/``lambda_minus[k-1]`` list
+    the sign classes of stage k, built from the mask when read.  The break
+    indices are the plan's :attr:`Lemma2Plan.break_indices`.
     """
 
     residuals: list = field(default_factory=list)
-    lambda_plus: list = field(default_factory=list)
-    lambda_minus: list = field(default_factory=list)
+    plus: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+
+    @property
+    def lambda_plus(self) -> list:
+        return [np.flatnonzero(row) for row in self.plus]
+
+    @property
+    def lambda_minus(self) -> list:
+        return [np.flatnonzero(row) for row in ~self.plus]
 
 
 def lemma2_sup_bound(xs, m: int, n: int, max_y: float) -> float:
@@ -263,9 +271,7 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
             record()[...] += 0.0
 
     snapped = np.abs(vals) <= snap
-    plus = (vals >= 0) | snapped
-    trace.lambda_plus = [np.flatnonzero(row) for row in plus]
-    trace.lambda_minus = [np.flatnonzero(row) for row in ~plus]
+    plus = trace.plus = (vals >= 0) | snapped
     ends = (np.abs(vals) / dx)[..., None] * from_prev
     g_break = np.zeros((2 * n + 1, 2 * m + 1))
     g_break[0] = ys[plan.break_indices]
@@ -510,8 +516,8 @@ def _sliver_fit(sample, interior, m: int, n: int):
 
     @functools.lru_cache(maxsize=1)
     def build(delta: float):
-        xs = _closure_grid(interior, m, n, delta)
-        ys = sample(xs)
+        xs = _freeze(_closure_grid(interior, m, n, delta))
+        ys = _freeze(sample(xs))
         net, _ = lemma2_interpolant(Lemma2Plan(m, n, SampleSet(xs, ys, m, n)))
         return xs, ys, net
 
@@ -605,13 +611,13 @@ def psi0(n: int, delta: float) -> ReluNetwork:
     n = _integer(n, "n")
     if not 0 < delta < 0.5 / n:
         raise ValueError("delta must lie in (0, 1/(2n))")
-    xs = _closure_grid(np.arange(1, n) / n, n, 1, delta)
+    xs = _freeze(_closure_grid(np.arange(1, n) / n, n, 1, delta))
     # plateau i covers [i/n, (i+1)/n - delta]; the top plateau keeps n-1
     ys = np.empty(2 * n + 1)
     ys[0::2] = np.arange(n + 1)
     ys[1::2] = np.arange(n)
     ys[-1] = n - 1
-    return lemma1_interpolant(SampleSet(xs, ys))
+    return lemma1_interpolant(SampleSet(xs, _freeze(ys)))
 
 
 def psi_projection(n: int, d: int, delta: float) -> ReluNetwork:
@@ -685,8 +691,8 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
     surplus = n_prime * (n_prime + 1) + 1 - (nd + 1)
     pad_xs = 1.0 - 1.0 / nd + (np.arange(1, surplus + 1) / (surplus + 1)) / nd
     pad_ys = ys_cells[-1] * (1.0 - np.arange(1, surplus + 1) / (surplus + 1))
-    xs = np.concatenate((xs_cells, pad_xs, [1.0]))
-    ys = np.concatenate((ys_cells, pad_ys, [0.0]))
+    xs = _freeze(np.concatenate((xs_cells, pad_xs, [1.0])))
+    ys = _freeze(np.concatenate((ys_cells, pad_ys, [0.0])))
 
     plan = Lemma2Plan(n_prime, n_prime, SampleSet(xs, ys, n_prime, n_prime))
     phibar, _ = lemma2_interpolant(plan)

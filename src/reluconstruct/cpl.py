@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ShapeError, _floats, _integer
-from .network import ReluNetwork, evaluate_batch
+from .network import ReluNetwork, _freeze, _frozen_array, evaluate_batch
 
 __all__ = [
     "MIN_BREAK_GAP",
@@ -62,7 +62,7 @@ def _interval(a, b) -> tuple[float, float]:
 
 
 def _check_increasing(xs, what):
-    xs = np.asarray(xs, dtype=float)
+    xs = _frozen_array(xs)
     if xs.ndim != 1 or xs.size < 2:
         raise ShapeError(f"{what} needs at least two points")
     if not np.isfinite(xs).all():
@@ -77,7 +77,9 @@ class CplFunction:
     """Break points and values of a continuous piecewise-linear function.
 
     Evaluation outside ``[breaks[0], breaks[-1]]`` extends the end segments
-    linearly.
+    linearly.  Both arrays are read-only: a read-only float64 array that owns
+    its memory is kept as it is, anything else is copied, as a network's
+    weights are.
     """
 
     breaks: np.ndarray
@@ -85,13 +87,11 @@ class CplFunction:
 
     def __post_init__(self):
         breaks = _check_increasing(self.breaks, "breaks")
-        values = np.asarray(self.values, dtype=float)
+        values = _frozen_array(self.values)
         if values.shape != breaks.shape:
             raise ShapeError("breaks and values must have equal length")
         if not np.isfinite(values).all():
             raise ShapeError("values must be finite")
-        breaks.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
 
@@ -105,7 +105,8 @@ class SampleSet:
 
     With the shape present the count must be ``m*(n+1) + 1`` and all values
     must be nonnegative, matching the two-hidden-layer construction's
-    preconditions.
+    preconditions.  ``xs`` and ``ys`` are kept or copied as
+    :class:`CplFunction`'s arrays are.
     """
 
     xs: np.ndarray
@@ -115,7 +116,7 @@ class SampleSet:
 
     def __post_init__(self):
         xs = _check_increasing(self.xs, "sample abscissae")
-        ys = np.asarray(self.ys, dtype=float)
+        ys = _frozen_array(self.ys)
         if ys.shape != xs.shape:
             raise ShapeError("sample xs and ys must have equal length")
         if not np.isfinite(ys).all():
@@ -132,8 +133,6 @@ class SampleSet:
                 )
             if ys.min() < 0:
                 raise ShapeError("plan-shaped samples must have nonnegative values")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -299,7 +298,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
         breaks = np.concatenate(([a], keep, [b])) if keep else np.array([a, b])
     else:
         breaks = np.array([a, b])
-    return CplFunction(breaks, evaluate_batch(net, breaks))
+    return CplFunction(_freeze(breaks), _freeze(evaluate_batch(net, breaks)))
 
 
 def cpl_from_net_1d(net: ReluNetwork, a: float, b: float, probe_count: int = 2001) -> CplFunction:
@@ -339,7 +338,7 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     breaks = np.array([a, b])
     *hidden, (w_out, b_out) = net.layers
     if not hidden:
-        return CplFunction(breaks, (w_out @ breaks[None, :] + b_out[:, None])[0])
+        return CplFunction(_freeze(breaks), (w_out @ breaks[None, :] + b_out[:, None])[0])
     for depth, (w, bias) in enumerate(hidden[:-1]):
         breaks = _with_crossings(breaks, w @ _activations(hidden[:depth], breaks) + bias[:, None])
     w, bias = hidden[-1]
@@ -357,7 +356,7 @@ def net_to_cpl_exact(net: ReluNetwork, a: float, b: float) -> CplFunction:
     order = np.argsort(pts, kind="stable")
     order = order[np.concatenate(([True], np.diff(pts[order]) > 0))]
     keep = order[_thin_breaks(pts[order])]
-    return CplFunction(pts[keep], out[keep])
+    return CplFunction(_freeze(pts[keep]), _freeze(out[keep]))
 
 
 def _activations(layers, x: np.ndarray) -> np.ndarray:

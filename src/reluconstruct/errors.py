@@ -66,11 +66,14 @@ def _integer(value, name: str, error=ValueError) -> int:
 
 
 def _floats(value, name: str) -> np.ndarray:
-    """A parsed JSON array of numbers as floats; anything else raises ``ParseError``."""
+    """A parsed JSON array of numbers as a read-only float array that owns its
+    memory, so a network or CPL keeps it uncopied; anything else raises ``ParseError``."""
     entries = np.array(value, dtype=object)
     try:
         if all(type(v) in (int, float) for v in entries.flat):
-            return entries.astype(float)
+            out = entries.astype(float)
+            out.setflags(write=False)
+            return out
     except OverflowError:
         pass
     raise ParseError(f"{name} must be a rectangular array of numbers")

@@ -103,11 +103,15 @@ def _coords(grid: GridSpec, pts: np.ndarray | None, lo: int, hi: int) -> np.ndar
     Axis ``a`` of flat position ``q`` is ``(q // p**(d-1-a)) % p``, so each
     coordinate column is ``pts``, the axis points, laid out with
     ``_repeat_axis``.  A d = 1 block is ``(arange(lo, hi) + 0.5) / p``, bit
-    for bit that slice of the axis points, so d = 1 needs no axis array.
+    for bit that slice of the axis points, so d = 1 needs no axis array; it
+    is computed in place, in one array.
     """
     p, d = grid.points_per_axis, grid.d
     if d == 1:
-        return ((np.arange(lo, hi) + 0.5) / p)[:, None]
+        x = np.arange(lo, hi, dtype=float)
+        x += 0.5
+        x /= p
+        return x[:, None]
     return np.stack([_repeat_axis(pts, p ** (d - 1 - a), lo, hi) for a in range(d)], axis=1)
 
 
@@ -159,6 +163,114 @@ def _compile(net: ReluNetwork, pts: np.ndarray | None):
     return tables, net_to_cpl_exact(tail, lo - pad, hi + pad)
 
 
+def _network_form(net: ReluNetwork, pts: np.ndarray | None):
+    """The network as a pass evaluates it: ``(tables, outer, None)`` from
+    ``_compile``, or ``((), None, net)`` when it has no finite compiled form."""
+    try:  # a compiled form that overflows leaves the grid to the dense pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            compiled = _compile(net, pts)
+    except ValueError:
+        compiled = None
+    return (*compiled, None) if compiled else ((), None, net)
+
+
+def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
+    """``grid_errors(f, net, grid)`` for every network of ``nets``, from one pass over the grid.
+
+    Each entry is ``(L1, Linf)`` or the exception ``grid_errors`` raises for
+    that network.  Each network is compiled once, through ``map``.  The grid
+    is walked in ``_CHUNK``s, ``map(fn, starts)`` running ``fn`` on the chunk
+    at each start and yielding the results in order (the builtin ``map``, or
+    a pool's).  A chunk lays out each block's points and calls the target
+    once per block, then reduces every network against that block while it
+    is in cache, and returns every network's per-block sums and its maximum.
+    The sums are folded here in index order, so every figure is the same
+    bits whatever ``map`` runs the chunks.
+    """
+    p, d, size = grid.points_per_axis, grid.d, grid.total_points
+    results = [(0.0, 0.0) if net.input_dim == d
+               else ShapeError("network input dimension must match the grid") for net in nets]
+    live = [i for i, r in enumerate(results) if isinstance(r, tuple)]
+    if not live:
+        return results
+    # the grid cap leaves a d > 1 axis at most 4096 points
+    pts = None if d == 1 else (np.arange(p) + 0.5) / p
+    forms = list(map(lambda i: _network_form(nets[i], pts), live))
+    form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
+    f_table = f_outer = None
+    if d > 1 and form is not None and form[0] == d:
+        f_table, f_outer = form[1](pts), form[2]
+    need_coords = f_outer is None or any(outer is None for _, outer, _ in forms)
+    weight = math.prod([1.0 / p] * d)
+
+    def chunk(start: int) -> list:
+        stop = min(start + _CHUNK, size)
+        r0 = start // p
+        # per compiled d > 1 network: outer on the chunk's distinct rows
+        row_tables = []
+        for tables, outer, _ in forms:
+            if tables:
+                uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, (stop - 1) // p + 1),
+                                      return_inverse=True)
+                row_tables.append((np.interp(uniq[:, None] + tables[-1], outer.breaks,
+                                             outer.values), inv))
+            else:
+                row_tables.append(None)
+        sums = [[] for _ in forms]
+        tops = [0.0] * len(forms)
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            coords = _coords(grid, pts, lo, hi) if need_coords else None
+            try:
+                if f_outer is None:
+                    fv = np.asarray(f(coords), dtype=float)
+                    if fv.shape != (hi - lo,):
+                        raise ShapeError("target must map (k, d) points to (k,) values")
+                else:
+                    # the block's rows, from column lo % p of the first
+                    lead = _row_sums([f_table] * (d - 1), p, lo // p, (hi - 1) // p + 1)
+                    fv = f_outer((lead[:, None] + f_table).ravel()[lo % p:lo % p + hi - lo])
+            except Exception as e:  # every network this chunk still measures fails with it
+                return [e if isinstance(s, list) else s for s in sums]
+            for i, ((_, outer, net), table) in enumerate(zip(forms, row_tables)):
+                if not isinstance(sums[i], list):
+                    continue
+                if outer is None:
+                    nv = evaluate_batch(net, coords)
+                elif d == 1:
+                    nv = np.interp(coords[:, 0], outer.breaks, outer.values)
+                else:
+                    # rows r0 + first.. of the table hold the block, from column lo % p
+                    rows, inv = table
+                    first = lo // p - r0
+                    nv = rows[inv[first:(hi - 1) // p - r0 + 1]].ravel()[lo % p:lo % p + hi - lo]
+                # every nv is a fresh array: the errors overwrite it
+                err = np.subtract(fv, nv, out=nv)
+                np.abs(err, out=err)
+                top = float(np.max(err))
+                if not math.isfinite(top):
+                    sums[i] = ValueError(f"target or network is "
+                                         f"{'NaN' if math.isnan(top) else 'infinite'} on the grid")
+                    continue
+                tops[i] = max(tops[i], top)
+                err *= weight
+                sums[i].append(float(np.sum(err)))
+        return [(s, top) if isinstance(s, list) else s for s, top in zip(sums, tops)]
+
+    for parts in map(chunk, range(0, size, _CHUNK)):
+        for i, part in zip(live, parts):
+            if isinstance(results[i], Exception):
+                continue
+            if isinstance(part, Exception):
+                results[i] = part
+                continue
+            total, worst = results[i]
+            for s in part[0]:
+                total += s
+            results[i] = total, max(worst, part[1])
+    return results
+
+
 def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     """``(L1, Linf)`` of ``f - net`` on the grid from one pass over its points.
 
@@ -184,61 +296,13 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     leading sums of that table to the table itself and applies the cone's
     outer function, the per-point call's operations in its order.  Any other
     callable keeps the per-point path; a ``functools.wraps`` wrapper of the
-    cone's ``f`` copies its form and takes the table path.
+    cone's ``f`` copies its form and takes the table path.  This is
+    ``_grid_metrics`` on one network.
     """
-    if net.input_dim != grid.d:
-        raise ShapeError("network input dimension must match the grid")
-    p, d, size = grid.points_per_axis, grid.d, grid.total_points
-    # the grid cap leaves a d > 1 axis at most 4096 points
-    pts = None if d == 1 else (np.arange(p) + 0.5) / p
-    try:  # a compiled form that overflows leaves the grid to the dense pass
-        with np.errstate(over="ignore", invalid="ignore"):
-            tables, outer = _compile(net, pts) or ((), None)
-    except ValueError:
-        tables, outer = (), None
-    form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
-    f_table = f_outer = None
-    if d > 1 and form is not None and form[0] == d:
-        f_table, f_outer = form[1](pts), form[2]
-    need_coords = f_outer is None or outer is None
-    weight = math.prod([1.0 / p] * d)
-    total, worst = 0.0, 0.0
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        if tables:
-            r0 = start // p
-            uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, (stop - 1) // p + 1),
-                                  return_inverse=True)
-            rows = np.interp(uniq[:, None] + tables[-1], outer.breaks, outer.values)
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            coords = _coords(grid, pts, lo, hi) if need_coords else None
-            if f_outer is None:
-                fv = np.asarray(f(coords), dtype=float)
-                if fv.shape != (hi - lo,):
-                    raise ShapeError("target must map (k, d) points to (k,) values")
-            else:
-                # the block's rows, from column lo % p of the first
-                lead = _row_sums([f_table] * (d - 1), p, lo // p, (hi - 1) // p + 1)
-                fv = f_outer((lead[:, None] + f_table).ravel()[lo % p:lo % p + hi - lo])
-            if outer is None:
-                nv = evaluate_batch(net, coords)
-            elif d == 1:
-                nv = np.interp(coords[:, 0], outer.breaks, outer.values)
-            else:
-                # rows r0 + first.. of the table hold the block, from column lo % p
-                first = lo // p - r0
-                nv = rows[inv[first:(hi - 1) // p - r0 + 1]].ravel()[lo % p:lo % p + hi - lo]
-            err = np.subtract(fv, nv)
-            np.abs(err, out=err)
-            top = float(np.max(err))
-            if not math.isfinite(top):
-                raise ValueError(f"target or network is {'NaN' if math.isnan(top) else 'infinite'} "
-                                 "on the grid")
-            worst = max(worst, top)
-            err *= weight
-            total += float(np.sum(err))
-    return total, worst
+    result = _grid_metrics(f, [net], grid)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def l1_error(f, net: ReluNetwork, grid: GridSpec) -> float:

@@ -40,9 +40,14 @@ def _frozen_array(a):
     """``a`` as a read-only float64 array: ``a`` itself when it owns read-only memory, else a copy."""
     if type(a) is np.ndarray and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
         return a
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+    return _freeze(np.array(a, dtype=float))
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a``, a new array no one else holds, made read-only in place, so that
+    ``_frozen_array`` keeps it uncopied."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

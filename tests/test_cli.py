@@ -243,18 +243,31 @@ class TestSweep:
         assert header["config"]["delta_target"] == 0.001
         assert json.loads(summary.read_text())["config"]["delta_target"] == 0.001
 
-    def test_one_grid_pass_per_n(self, tmp_path, monkeypatch):
-        passes = []
-        errors = cli.grid_errors
+    def test_target_sees_each_grid_point_once(self, tmp_path, monkeypatch):
+        # every N is measured in one shared pass: the target sees the grid
+        # once in total, block by block in chunk order
+        grid = GridSpec(1, metrics._CHUNK + 1000)
+        seen = []
+        cone = holder_family("cone", 1, 0.5, 1.0)
 
-        def counted(f, net, grid):
-            passes.append(grid.total_points)
-            return errors(f, net, grid)
+        def recording(points):
+            seen.append(points.copy())
+            return cone(points)
 
-        monkeypatch.setattr(cli, "grid_errors", counted)
-        assert run(["sweep", "--d", "1", "--N", "4", "8", "16", "--grid-points", "5000",
-                    "--out", tmp_path / "s.csv"]) == 0
-        assert passes == [5000] * 3
+        def measuring(*args):
+            seen.clear()  # the builds, which run first at one thread, sample the target too
+            return grid_pass(*args)
+
+        grid_pass = cli._grid_metrics
+        monkeypatch.setattr(cli, "_grid_metrics", measuring)
+        monkeypatch.setattr(cli, "holder_family",
+                            lambda *a: cli.HolderTarget(recording, 1, 0.5, 1.0))
+        assert run(["sweep", "--d", "1", "--alpha", "0.5", "--N", "4", "8", "16", "--threads", "1",
+                    "--grid-points", grid.total_points, "--out", tmp_path / "s.csv"]) == 0
+        sizes = [len(points) for points in seen]
+        assert sizes == [metrics._BLOCK] * (metrics._CHUNK // metrics._BLOCK) + [1000]
+        every = (np.arange(grid.total_points) + 0.5) / grid.total_points
+        assert np.array_equal(np.concatenate(seen)[:, 0], every)
 
     def test_nan_target_recorded_as_error(self, tmp_path, monkeypatch):
         # NaN at one grid point of the second chunk, which no build samples
@@ -275,6 +288,21 @@ class TestSweep:
         assert [r["pass"] for r in rows] == ["error: ValueError: target or network is NaN "
                                              "on the grid"] * 3
         assert json.loads(summary.read_text())["partial"] is True
+
+    def test_target_shape_error_recorded_in_every_row(self, tmp_path, monkeypatch):
+        cone = holder_family("cone", 1, 0.5, 1.0)
+
+        def f(points):  # right on the builds' few thousand points, short on a grid block
+            out = cone(points)
+            return out if len(points) <= 5000 else out[:-1]
+
+        monkeypatch.setattr(cli, "holder_family", lambda *a: cli.HolderTarget(f, 1, 0.5, 1.0))
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--d", "1", "--alpha", "0.5", "--N", "4", "8", "16",
+                    "--grid-points", "20000", "--out", out]) == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [r["pass"] for r in rows] == ["error: ShapeError: target must map (k, d) points "
+                                             "to (k,) values"] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("w1", [[[2.0]], [[1.0, 1.0]], [[2.0, 0.0]]])
@@ -303,6 +331,28 @@ class TestSweep:
             net = build_1d(target, int(row["N"]), DeltaPolicy()).net
             assert row["l1"] == format(l1_error(target, net, grid), ".17g")
             assert row["linf"] == format(linf_error(target, net, grid), ".17g")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_d1_csv_independent_of_threads(self, tmp_path, monkeypatch):
+        # two chunks; the N = 8 network is 0 up to the second chunk and
+        # infinite inside it, so only a later chunk fails its row
+        points = metrics._CHUNK + 1000
+        edge = (metrics._CHUNK + 1) / points
+        bad = ReluNetwork(1, ((np.ones((1, 1)), np.array([-edge])),
+                              (np.array([[1e308]]), np.zeros(1)),
+                              (np.array([[1e308]]), np.zeros(1))))
+        build = cli._build
+        monkeypatch.setattr(cli, "_build", lambda target, big_n, policy: (
+            SimpleNamespace(net=bad, bound=1.0) if big_n == 8 else build(target, big_n, policy)))
+        args = ["sweep", "--d", "1", "--alpha", "0.5", "--N", "4", "8", "16", "32",
+                "--grid-points", points]
+        one, two = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        assert run(args + ["--threads", "1", "--out", one]) == 1
+        assert run(args + ["--threads", "2", "--out", two]) == 1
+        assert one.read_bytes() == two.read_bytes()
+        rows = list(csv.DictReader(one.read_text().splitlines()[1:]))
+        assert [r["pass"] for r in rows] == [
+            "True", "error: ValueError: target or network is infinite on the grid", "True", "True"]
 
     def test_d2_csv_independent_of_threads(self, tmp_path):
         args = ["sweep", "--target", "cone", "--d", "2", "--alpha", "0.5",

@@ -274,6 +274,68 @@ class TestCplJson:
                 cpl_from_json(doc)
 
 
+class TestFrozenArrays:
+    """A CPL or sample set keeps a read-only float64 array that owns its
+    memory, copies anything else, and leaves the caller's arrays as they were."""
+
+    @pytest.mark.parametrize("make", [
+        lambda xs, ys: CplFunction(xs, ys),
+        lambda xs, ys: SampleSet(xs, ys),
+        lambda xs, ys: SampleSet(xs, ys, 1, 1),
+    ], ids=["cpl", "samples", "plan-samples"])
+    def test_callers_arrays_stay_writeable_and_apart(self, make):
+        xs, ys = np.linspace(0.0, 1.0, 3), np.ones(3)
+        obj = make(xs, ys)
+        kept = [a.copy() for a in vars(obj).values() if isinstance(a, np.ndarray)]
+        assert xs.flags.writeable and ys.flags.writeable
+        xs[0], ys[0] = 0.5, 7.0
+        arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2
+        for a, before in zip(arrays, kept):
+            assert np.array_equal(a, before) and not a.flags.writeable
+            assert not np.shares_memory(a, xs) and not np.shares_memory(a, ys)
+
+    def test_read_only_owner_arrays_are_shared(self):
+        xs, ys = np.array([0.0, 0.5, 1.0]), np.ones(3)
+        for a in (xs, ys):
+            a.setflags(write=False)
+        f = CplFunction(xs, ys)
+        assert f.breaks is xs and f.values is ys
+        samples = SampleSet(xs, ys)
+        assert samples.xs is xs and samples.ys is ys
+        # a read-only view of writeable memory is copied
+        view = np.array([0.0, 0.5, 1.0])[:]
+        view.setflags(write=False)
+        assert CplFunction(view, ys).breaks is not view
+
+    def test_library_call_sites_copy_nothing(self, monkeypatch):
+        # every array the library hands a CPL or a sample set is its own and
+        # already read-only, so the freeze rule shares it
+        copies, frozen = [], cpl._frozen_array
+
+        def counted(a):
+            out = frozen(a)
+            if out is not a:
+                copies.append(np.shape(a))
+            return out
+
+        from reluconstruct import corollary32_check, cpl_from_json, cpl_to_json, psi0
+
+        monkeypatch.setattr(cpl, "_frozen_array", counted)
+        cone = holder_family("cone", 1, 0.5, 1.0)
+        build_1d(cone, 8)
+        build_dd(holder_family("cone", 2, 0.5, 1.0), 4)
+        psi0(4, 0.01)
+        net = build_1d(cone, 4).net
+        net_to_cpl_exact(net, 0.0, 1.0)
+        cpl_from_net_1d(net, 0.0, 1.0)
+        g = CplFunction(*(np.array(a) for a in ([0.0, 0.3, 1.0], [0.0, 1.0, -0.5])))
+        copies.clear()
+        corollary32_check(g, 2, 2, 1e-3)
+        cpl_from_json(cpl_to_json(g))
+        assert copies == []
+
+
 class TestCplSup:
     @pytest.mark.filterwarnings("error")
     def test_interval_checked(self):

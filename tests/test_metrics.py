@@ -654,6 +654,117 @@ class TestBlockEdges:
         assert parallel == serial * 2
 
 
+def overflows_past(d, p):
+    """A network that is 0 on the grid's first chunk and infinite in part of
+    its second: ``1e308 * 1e308 * relu(x_0 - c)``, c past the first chunk's
+    last row (or plane), so no compiled form is finite."""
+    c = (metrics._CHUNK // p ** (d - 1) + 1) / p
+    w1 = np.zeros((1, d))
+    w1[0, 0] = 1.0
+    return ReluNetwork(d, ((w1, np.array([-c])), (np.array([[1e308]]), np.zeros(1)),
+                           (np.array([[1e308]]), np.zeros(1))))
+
+
+def hexed(results):
+    """Results as comparable values: float bits, or an exception's type and text."""
+    return [tuple(map(float.hex, r)) if isinstance(r, tuple) else (type(r), str(r))
+            for r in results]
+
+
+# several chunks each; the d = 1 grid has three
+SHARED_GRIDS = [(1, 2 * 2**18 + 4321), (2, 600), (3, 70)]
+
+
+class TestSharedPass:
+    """``_grid_metrics`` measures many networks in one pass: each result is
+    ``grid_errors``'s, bit for bit, whatever ``map`` runs the chunks."""
+
+    def nets(self, d):
+        rng = np.random.default_rng(d)
+        built = build_1d(cone(1), 8).net if d == 1 else build_dd(cone(d), 9 if d == 2 else 8).net
+        return [built, random_net(rng, d, 2), zero_net(d),
+                overflows_past(d, SHARED_GRIDS[d - 1][1]),
+                rank1_net(rng, d) if d > 1 else build_1d(cone(1), 16).net]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("d,p", SHARED_GRIDS)
+    def test_pool_map_equals_builtin_map(self, d, p):
+        grid, nets = GridSpec(d, p), self.nets(d)
+        assert grid.total_points > metrics._CHUNK
+        last = np.full(d, (p - 0.5) / p)
+
+        def nan_at_the_end(points):
+            out = tilted(d)(points)
+            out[np.all(points == last, axis=1)] = np.nan
+            return out
+
+        for f in (cone(d), tilted(d), nan_at_the_end):
+            serial = metrics._grid_metrics(f, nets, grid)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                pooled = metrics._grid_metrics(f, nets, grid, pool.map)
+            assert hexed(pooled) == hexed(serial)
+            singles = []
+            for net in nets:
+                try:
+                    singles.append(grid_errors(f, net, grid))
+                except ValueError as e:
+                    singles.append(e)
+            assert hexed(serial) == hexed(singles)
+            for i, r in enumerate(serial):
+                if i == 3:  # its second chunk fails it, before the NaN in the last chunk
+                    assert type(r) is ValueError
+                    assert str(r) == "target or network is infinite on the grid"
+                elif f is nan_at_the_end:
+                    assert type(r) is ValueError
+                    assert str(r) == "target or network is NaN on the grid"
+                else:
+                    assert isinstance(r, tuple)
+        for net, r in zip(nets[:3], metrics._grid_metrics(tilted(d), nets[:3], grid)):
+            assert r == reference_errors(tilted(d), net, grid)
+
+    @pytest.mark.parametrize("d,p", SHARED_GRIDS)
+    def test_target_called_once_per_block(self, d, p):
+        seen = []
+
+        def recording(points):
+            seen.append(len(points))
+            return tilted(d)(points)
+
+        grid = GridSpec(d, p)
+        results = metrics._grid_metrics(recording, self.nets(d)[:3], grid)
+        assert all(isinstance(r, tuple) for r in results)
+        assert seen == sum(block_sizes(grid, metrics._BLOCK), [])
+
+    def test_each_network_fails_alone(self):
+        grid = GridSpec(2, 64)
+        nets = [build_dd(cone(2), 4).net, zero_net(3), zero_net(2)]
+        got = metrics._grid_metrics(cone(2), nets, grid)
+        assert got[0] == grid_errors(cone(2), nets[0], grid)
+        assert type(got[1]) is ShapeError and "input dimension" in str(got[1])
+        assert got[2] == grid_errors(cone(2), nets[2], grid)
+
+    def test_target_error_fails_every_network(self):
+        seen = []
+
+        def short(points):
+            seen.append(len(points))
+            return np.zeros(len(points) - 1)
+
+        got = metrics._grid_metrics(short, [build_1d(cone(1), 4).net, zero_net()],
+                                    GridSpec(1, 2**18 + 5))
+        assert [str(e) for e in got] == ["target must map (k, d) points to (k,) values"] * 2
+        # the pass stops each chunk at the target's first failure
+        assert seen == [metrics._BLOCK, 5]
+
+    def test_no_network_calls_no_target(self):
+        def never(points):
+            raise AssertionError("the target was called")
+
+        assert [type(e) for e in metrics._grid_metrics(never, [zero_net(2)], GridSpec(1, 9))] \
+            == [ShapeError]
+        assert metrics._grid_metrics(never, [], GridSpec(1, 9)) == []
+
+
 class TestConeTarget:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bit_identical_to_norm(self, d):

@@ -607,3 +607,23 @@ def test_builders_return_one_record(big_n):
         cd = build_dd(holder_family("cone", d, 1.0, 1.0), 2 * big_n)
         assert type(cd) is Construction
         assert cd.grid.size == cd.n_prime * (cd.n_prime + 1) + 1
+
+
+def test_sign_classes_are_listed_only_when_read(monkeypatch):
+    # a construction keeps the (n, m) plus mask; the index lists that no
+    # builder reads are not made
+    from reluconstruct import Lemma2Plan, ResidualTrace, lemma2_interpolant
+
+    rng = np.random.default_rng(5)
+    m, n = 4, 3
+    xs = np.cumsum(rng.uniform(0.5, 1.5, m * (n + 1) + 1))
+    plan = Lemma2Plan(m, n, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), m, n))
+    listed, flatnonzero = [], np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: listed.append(1) or flatnonzero(a))
+    _, trace = lemma2_interpolant(plan)
+    assert listed == []
+    assert trace.plus.shape == (n, m) and trace.plus.dtype == bool
+    for plus, minus, row in zip(trace.lambda_plus, trace.lambda_minus, trace.plus, strict=True):
+        assert plus.tolist() == [j for j in range(m) if row[j]]
+        assert minus.tolist() == [j for j in range(m) if not row[j]]
+    assert ResidualTrace().lambda_plus == ResidualTrace().lambda_minus == []
