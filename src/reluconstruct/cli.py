@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -41,10 +42,10 @@ from .construct import (
 from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
 from .errors import ConstructionInfeasibleError, RegistryError, ShapeError
-# grid_errors and linf_error are unused here but stay importable as names a
-# tracer patches (the benchmark's patches cli.l1_error and cli.linf_error)
-from .metrics import (GridSpec, _grid_metrics, default_grid, grid_errors, holder_family, l1_error,
-                      linf_error, rate_fit)
+# linf_error is unused here but stays importable as a name a tracer patches
+# (the benchmark's patches cli.l1_error and cli.linf_error)
+from .metrics import (GridSpec, _grid_metrics, default_grid, holder_family, l1_error, linf_error,
+                      rate_fit)
 from .network import deserialize, evaluate_batch, parameter_count, serialize
 
 # errors at or below this are treated as exact in rate summaries
@@ -92,20 +93,12 @@ def _write_csv(path: str, columns, rows, config: dict):
         fh.write(buf.getvalue())
 
 
-def _target_from_args(args) -> HolderTarget:
-    return holder_family(args.target, args.d, args.alpha, args.nu)
-
-
-def _policy_from_args(args) -> DeltaPolicy:
-    return DeltaPolicy(
-        mode=args.delta_mode, floor=args.delta_floor, target=getattr(args, "delta_target", None)
-    )
-
-
-def _grid_from_args(args) -> GridSpec:
-    if args.grid_points is None:
-        return default_grid(args.d)
-    return GridSpec(args.d, args.grid_points)
+def _inputs(args) -> tuple[HolderTarget, DeltaPolicy, GridSpec]:
+    """The target, delta policy and grid the arguments name, built in that order."""
+    target = holder_family(args.target, args.d, args.alpha, args.nu)
+    policy = DeltaPolicy(mode=args.delta_mode, floor=args.delta_floor, target=args.delta_target)
+    grid = default_grid(args.d) if args.grid_points is None else GridSpec(args.d, args.grid_points)
+    return target, policy, grid
 
 
 def _build(target: HolderTarget, big_n: int, policy: DeltaPolicy) -> Construction:
@@ -134,9 +127,7 @@ def _check_writable(path: str):
 
 def cmd_construct(args) -> int:
     config = _config_dict(args, CONFIG_KEYS)
-    target = _target_from_args(args)
-    policy = _policy_from_args(args)
-    grid = _grid_from_args(args)
+    target, policy, grid = _inputs(args)
     meta_path = args.meta or (args.out + ".meta.json")
     for path in (args.out, meta_path):
         _check_writable(path)
@@ -179,52 +170,44 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs at least three distinct N values")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    target = _target_from_args(args)
-    policy = _policy_from_args(args)
-    grid = _grid_from_args(args)
+    target, policy, grid = _inputs(args)
 
-    def build(big_n: int) -> Construction | str:
+    def build(big_n: int) -> Construction | Exception:
         try:
             return _build(target, big_n, policy)
-        except Exception as e:  # recorded per-row, sweep continues
-            return f"{type(e).__name__}: {e}"
+        except Exception as e:  # recorded in its row, the sweep continues
+            return e
 
     # largest N first: its build runs before the smaller networks exist, and
     # its compile in the pass, a sweep's largest transient, before theirs
     ns = sorted(set(args.N), reverse=True)
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        outcomes = dict(zip(ns, pool.map(build, ns)))
-        built = [n for n in ns if not isinstance(outcomes[n], str)]
+        built = dict(zip(ns, pool.map(build, ns)))
+        ok = [n for n in ns if not isinstance(built[n], Exception)]
         # one pass over the grid measures every network, its chunks spread over the pool
-        measured = _grid_metrics(target, [outcomes[n].net for n in built], grid, pool.map)
-    for big_n, errors in zip(built, measured):
-        c = outcomes[big_n]
+        measured = dict(zip(ok, _grid_metrics(target, [built[n].net for n in ok], grid, pool.map)))
+    rows, failures, fit_pairs = [], {}, []
+    for big_n in reversed(ns):
+        c = built[big_n]
+        errors = measured.get(big_n, c)  # a failed build is its own outcome
+        row = {"name": args.target, "d": args.d, "alpha": args.alpha, "nu": args.nu, "N": big_n}
         if isinstance(errors, Exception):
-            outcomes[big_n] = f"{type(errors).__name__}: {errors}"
+            failures[str(big_n)] = text = f"{type(errors).__name__}: {errors}"
+            rows.append({**row, **_FAILED_ROW, "pass": "error: " + text})
             continue
         l1, linf = errors
-        outcomes[big_n] = {"widthvec": _widthvec_str(c.net.hidden_widths), "l1": l1,
-                           "linf": linf, "bound": c.bound, "pass": str(bool(l1 <= c.bound))}
-    outcomes = dict(sorted(outcomes.items()))
-    failures = {n: r for n, r in outcomes.items() if isinstance(r, str)}
-    rows = [
-        {"name": args.target, "d": args.d, "alpha": args.alpha, "nu": args.nu, "N": big_n,
-         **(r if isinstance(r, dict) else {**_FAILED_ROW, "pass": "error: " + r})}
-        for big_n, r in outcomes.items()
-    ]
+        rows.append({**row, "widthvec": _widthvec_str(c.net.hidden_widths), "l1": l1,
+                     "linf": linf, "bound": c.bound, "pass": str(bool(l1 <= c.bound))})
+        if l1 > RATE_ERROR_FLOOR:
+            fit_pairs.append((big_n, l1))
     _write_csv(args.out, SWEEP_COLUMNS, rows, config)
 
-    fit_pairs = [
-        (big_n, r["l1"])
-        for big_n, r in outcomes.items()
-        if isinstance(r, dict) and r["l1"] > RATE_ERROR_FLOOR
-    ]
     summary = {
         "config": config,
         "version": __version__,
         "theoretical_slope": -2.0 * args.alpha / args.d,
         "partial": bool(failures),
-        "failures": {str(k): v for k, v in failures.items()},
+        "failures": failures,
         "rate_defined": len(fit_pairs) >= 2,
     }
     if len(fit_pairs) >= 2:
@@ -498,6 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the parser main reuses, built on its first call rather than at import
+_parser = functools.cache(build_parser)
+
+
 def _config_tokens(ap: argparse.ArgumentParser, command: str, path: str) -> list[str]:
     """A config document as ``--key value`` tokens, so argparse types and checks it.
 
@@ -524,7 +511,7 @@ def _config_tokens(ap: argparse.ArgumentParser, command: str, path: str) -> list
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if getattr(args, "config", None) is not None:

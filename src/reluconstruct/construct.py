@@ -411,6 +411,11 @@ class HolderTarget:
         out = np.asarray(self.f(np.asarray(points, dtype=float)), dtype=float)
         return out
 
+    @functools.cached_property
+    def _spot_ratio(self) -> float:
+        # the fields are frozen: one spot check serves every build of this target
+        return spot_check_holder(self)
+
 
 def spot_check_holder(target: HolderTarget) -> float:
     """Worst observed ``|f(x)-f(y)| / (nu ||x-y||^alpha)`` over sampled pairs.
@@ -442,7 +447,7 @@ def spot_check_holder(target: HolderTarget) -> float:
 
 
 def _warn_on_certificate(target: HolderTarget):
-    ratio = spot_check_holder(target)
+    ratio = target._spot_ratio
     if ratio > 1.0 + 1e-9:
         warnings.warn(
             f"target violates its Hoelder certificate on sampled pairs (ratio {ratio:.3f})",

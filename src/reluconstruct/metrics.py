@@ -183,9 +183,10 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     at each start and yielding the results in order (the builtin ``map``, or
     a pool's).  A chunk lays out each block's points and calls the target
     once per block, then reduces every network against that block while it
-    is in cache, and returns every network's per-block sums and its maximum.
-    The sums are folded here in index order, so every figure is the same
-    bits whatever ``map`` runs the chunks.
+    is in cache.  It returns each network's ``(max, sum)`` per block, to its
+    first non-finite block, and the target's exception or None.  The fold
+    decides every failure and adds the sums, both in index order, so every
+    figure is the same bits whatever ``map`` runs the chunks.
     """
     p, d, size = grid.points_per_axis, grid.d, grid.total_points
     results = [(0.0, 0.0) if net.input_dim == d
@@ -203,7 +204,7 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     need_coords = f_outer is None or any(outer is None for _, outer, _ in forms)
     weight = math.prod([1.0 / p] * d)
 
-    def chunk(start: int) -> list:
+    def chunk(start: int) -> tuple:
         stop = min(start + _CHUNK, size)
         r0 = start // p
         # per compiled d > 1 network: outer on the chunk's distinct rows
@@ -216,8 +217,7 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
                                              outer.values), inv))
             else:
                 row_tables.append(None)
-        sums = [[] for _ in forms]
-        tops = [0.0] * len(forms)
+        blocks = [[] for _ in forms]
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
             coords = _coords(grid, pts, lo, hi) if need_coords else None
@@ -230,11 +230,11 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
                     # the block's rows, from column lo % p of the first
                     lead = _row_sums([f_table] * (d - 1), p, lo // p, (hi - 1) // p + 1)
                     fv = f_outer((lead[:, None] + f_table).ravel()[lo % p:lo % p + hi - lo])
-            except Exception as e:  # every network this chunk still measures fails with it
-                return [e if isinstance(s, list) else s for s in sums]
-            for i, ((_, outer, net), table) in enumerate(zip(forms, row_tables)):
-                if not isinstance(sums[i], list):
-                    continue
+            except Exception as e:  # the fold fails every network still measured
+                return blocks, e
+            for (_, outer, net), table, pairs in zip(forms, row_tables, blocks):
+                if pairs and not math.isfinite(pairs[-1][0]):
+                    continue  # failed: the fold reports it
                 if outer is None:
                     nv = evaluate_batch(net, coords)
                 elif d == 1:
@@ -248,26 +248,22 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
                 err = np.subtract(fv, nv, out=nv)
                 np.abs(err, out=err)
                 top = float(np.max(err))
-                if not math.isfinite(top):
-                    sums[i] = ValueError(f"target or network is "
-                                         f"{'NaN' if math.isnan(top) else 'infinite'} on the grid")
-                    continue
-                tops[i] = max(tops[i], top)
                 err *= weight
-                sums[i].append(float(np.sum(err)))
-        return [(s, top) if isinstance(s, list) else s for s, top in zip(sums, tops)]
+                pairs.append((top, float(np.sum(err))))
+        return blocks, None
 
-    for parts in map(chunk, range(0, size, _CHUNK)):
-        for i, part in zip(live, parts):
+    for blocks, failure in map(chunk, range(0, size, _CHUNK)):
+        for i, pairs in zip(live, blocks):
             if isinstance(results[i], Exception):
                 continue
-            if isinstance(part, Exception):
-                results[i] = part
-                continue
-            total, worst = results[i]
-            for s in part[0]:
-                total += s
-            results[i] = total, max(worst, part[1])
+            for top, s in pairs:
+                if math.isfinite(top):
+                    results[i] = results[i][0] + s, max(results[i][1], top)
+                else:  # a network's first non-finite block is the last its chunk measured
+                    results[i] = ValueError(f"target or network is "
+                                            f"{'NaN' if math.isnan(top) else 'infinite'} on the grid")
+            if failure is not None and isinstance(results[i], tuple):
+                results[i] = failure
     return results
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reluconstruct import (ConstructionInfeasibleError, DeltaPolicy, GridSpec, ReluNetwork,
-                           build_1d, cli, deserialize, evaluate_batch, grid_errors,
+                           build_1d, cli, construct, deserialize, evaluate_batch, grid_errors,
                            holder_family, l1_error, linf_error, metrics)
 from reluconstruct.cli import main
 
@@ -320,6 +320,16 @@ class TestSweep:
         want = f"error: {type(raised.value).__name__}: {raised.value}"
         assert [r["pass"] for r in rows] == [want] * 3
 
+    @pytest.mark.parametrize("d, ns", [(1, ["2", "4", "8", "16"]), (2, ["4", "9", "16"])])
+    def test_certificate_spot_checked_once(self, tmp_path, monkeypatch, d, ns):
+        checked = []
+        check = construct.spot_check_holder
+        monkeypatch.setattr(construct, "spot_check_holder",
+                            lambda t: checked.append(t) or check(t))
+        assert run(["sweep", "--d", d, "--alpha", "0.5", "--N", *ns, "--threads", "1",
+                    "--grid-points", "64", "--out", tmp_path / "s.csv"]) == 0
+        assert len(checked) == 1
+
     def test_cells_equal_single_metrics(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sweep", "--d", "1", "--alpha", "0.6", "--N", "4", "8", "16",
@@ -536,6 +546,35 @@ class TestUsageErrors:
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        out = tmp_path / "net.json"
+        out.mkdir()
+        assert exit_code(["construct", "--N", "2", "--out", out]) == 2
+        assert f"usage error: cannot write {str(out)!r}" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["construct", "--N", "4", "--out", "{dir}/x.json"],
+                                         ["sweep", "--N", "2", "3", "4", "--out", "{dir}/s.csv"]])
+    @pytest.mark.parametrize("flags, message", [
+        (["--target", "nope", "--delta-floor", "0", "--grid-points", "0"],
+         "unknown target family: 'nope'"),
+        (["--delta-floor", "0", "--grid-points", "0"], "floor must lie in"),
+        (["--grid-points", "0"], "points_per_axis must be a positive integer"),
+    ], ids=["target", "policy", "grid"])
+    def test_inputs_are_checked_target_policy_grid(self, tmp_path, capsys, monkeypatch,
+                                                   command, flags, message):
+        # the first bad input in that order is the one reported
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        assert exit_code([a.format(dir=tmp_path) for a in command] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and message in err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_delta_floor_below_min_break_gap(self, tmp_path, capsys, monkeypatch):
         builds = []
         monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
@@ -597,3 +636,50 @@ class TestUsageErrors:
                           "--delta-target", "1e-300", "--delta-floor", "1e-8"])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_main_reuses_one_parser_with_the_outputs_of_fresh_ones(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # commands and --config files in turn: no call's flags or config keys
+        # reach a later call through the parser main keeps
+        costs = tmp_path / "cost.json"
+        costs.write_text(json.dumps({"m": [1, 64], "L": 2, "t_s": 0.5}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": 0.5, "grid_points": 2000, "threads": 2}))
+        commands = [
+            ["cost", "--config", costs, "--N", "8", "--out", "{dir}/cost-config.csv"],
+            ["cost", "--N", "8", "--out", "{dir}/cost-defaults.csv"],
+            ["sweep", "--config", sweep, "--N", "2", "3", "4", "--out", "{dir}/s.csv",
+             "--summary", "{dir}/s.json"],
+            ["construct", "--config", costs, "--N", "2", "--out", "{dir}/bad-key.json"],
+            ["construct", "--N", "2", "--grid-points", "1000", "--out", "{dir}/net.json"],
+            ["sweep", "--config", sweep, "--N", "2", "4", "--out", "{dir}/too-few.csv"],
+            ["check", "--suite", "delta"],
+            ["sweep", "--N", "2", "3", "4", "--grid-points", "1000", "--threads", "0",
+             "--out", "{dir}/no-threads.csv"],
+            ["sweep", "--target", "zero", "--alpha", "1", "--N", "2", "3", "4",
+             "--grid-points", "500", "--out", "{dir}/zero.csv"],
+        ]
+
+        def outputs(name):
+            folder = tmp_path / name
+            folder.mkdir()
+            got = []
+            for argv in commands:
+                code = exit_code([str(a).format(dir=folder) for a in argv])
+                out, err = capsys.readouterr()
+                got.append((code, out.replace(str(folder), "DIR"), err.replace(str(folder), "DIR")))
+            return got, {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+        reused = outputs("reused")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = outputs("fresh")
+        assert reused == fresh
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 2, 0, 2, 0, 2, 0]
+        assert sorted(reused[1]) == ["cost-config.csv", "cost-defaults.csv", "net.json",
+                                     "net.json.meta.json", "s.csv", "s.json", "zero.csv"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

@@ -107,6 +107,20 @@ class TestProperties:
         with pytest.raises(ShapeError):
             ArchSpec(*sizes)
 
+    @pytest.mark.parametrize("params, match", [
+        ({"t_s": math.nan}, "cost parameters must be finite"),
+        ({"t_w": math.inf}, "cost parameters must be finite"),
+        ({"c_flop": -math.inf}, "cost parameters must be finite"),
+        ({"t_s": -1.0}, "communication times must be nonnegative"),
+        ({"t_w": -1e-9}, "communication times must be nonnegative"),
+        ({"c_flop": 0.0}, "c_flop must be positive"),
+        ({"c_flop": -2.0}, "c_flop must be positive"),
+    ], ids=["t_s-nan", "t_w-inf", "c_flop-minus-inf", "t_s-negative", "t_w-negative",
+            "c_flop-zero", "c_flop-negative"])
+    def test_cost_params_rejected(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            CostParams(**params)
+
     def test_numpy_integer_sizes_become_int(self):
         a = ArchSpec(np.int64(8), np.int32(3), np.uint8(1))
         assert (a.N, a.L, a.m) == (8, 3, 1)

@@ -75,6 +75,23 @@ class TestEvalCpl:
         with pytest.raises(ShapeError):
             CplFunction([0.0, 1e-14, 1.0], [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: CplFunction([0.0, np.inf], [0.0, 1.0]), "breaks must be finite"),
+        (lambda: SampleSet([0.0, 0.5, 1.0], [0.0, 1.0]), "sample xs and ys must have equal length"),
+        (lambda: SampleSet([0.0, 1.0], [0.0, np.nan]), "sample values must be finite"),
+        (lambda: SampleSet(np.linspace(0, 1, 5), np.ones(5), 2), "m and n must be given together"),
+        (lambda: SampleSet(np.linspace(0, 1, 5), np.ones(5), None, 1),
+         "m and n must be given together"),
+        (lambda: cpl_from_net_1d(ReluNetwork(2, ((np.ones((1, 2)), np.zeros(1)),)), 0.0, 1.0),
+         "cpl_from_net_1d needs a 1-D network"),
+        (lambda: net_to_cpl_exact(ReluNetwork(2, ((np.ones((1, 2)), np.zeros(1)),)), 0.0, 1.0),
+         "net_to_cpl_exact needs a 1-D network"),
+    ], ids=["cpl-break-inf", "samples-lengths", "samples-nan", "samples-m-only",
+            "samples-n-only", "probe-2d-net", "exact-2d-net"])
+    def test_input_checks(self, make, match):
+        with pytest.raises(ShapeError, match=match):
+            make()
+
 
 class TestLemma1Interpolant:
     def test_identity_samples(self):
@@ -265,6 +282,15 @@ class TestCplJson:
         doc = {"breaks": [0.0, 1.0], "values": [1.0, 2.0], key: value}
         with pytest.raises(ParseError, match=f"{key} must be"):
             cpl_from_json(json.dumps(doc))
+
+    def test_bytes_document(self):
+        from reluconstruct import ParseError, cpl_from_json
+
+        f = cpl_from_json(b'{"breaks": [0, 0.5, 1], "values": [1, 2, 0]}')
+        assert f.breaks.tolist() == [0.0, 0.5, 1.0] and f.values.tolist() == [1.0, 2.0, 0.0]
+        # bytes that are not UTF-8 decode to U+FFFD, which no JSON number holds
+        with pytest.raises(ParseError, match="malformed CPL document"):
+            cpl_from_json(b'{"breaks": [0, 1], "values": [0, \xff]}')
 
     def test_shape_errors_stay_shape_errors(self):
         from reluconstruct import cpl_from_json
@@ -826,6 +852,14 @@ class TestSliverL1:
         lo[1] -= 1e-3
         with pytest.raises(ShapeError, match="inside an interval"):
             _sliver_l1(net, lo, hi, ys, ys)
+
+    @pytest.mark.parametrize("lo, hi", [([0.5], [0.5]), ([0.25, 0.75], [0.5, 0.7])],
+                             ids=["empty", "reversed"])
+    def test_rejects_an_interval_that_is_not_increasing(self, lo, hi):
+        net = ReluNetwork(1, ((np.ones((1, 1)), np.zeros(1)), (np.ones((1, 1)), np.zeros(1)),
+                              (np.ones((1, 1)), np.zeros(1))))
+        with pytest.raises(ValueError, match="every interval must satisfy lo < hi"):
+            _sliver_l1(net, lo, hi, np.zeros(len(lo)), np.zeros(len(lo)))
 
     @pytest.mark.parametrize("widths", [[3, 1], [3, 4, 5, 1]])
     def test_rejects_other_shapes(self, widths):

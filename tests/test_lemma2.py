@@ -480,6 +480,17 @@ class TestPreconditions:
         with pytest.raises(ShapeError):
             SampleSet(xs, np.ones(6), 2, 2)
 
+    def test_plan_checks_samples_given_without_its_shape(self):
+        xs = np.linspace(0.0, 1.0, 7)
+        plan = Lemma2Plan(2, 2, SampleSet(xs, np.ones(7)))
+        assert (plan.samples.m, plan.samples.n) == (2, 2)
+        with pytest.raises(ShapeError, match=r"plan shape \(m=2, n=2\) needs 7 samples, got 6"):
+            Lemma2Plan(2, 2, SampleSet(np.linspace(0.0, 1.0, 6), np.ones(6)))
+        with pytest.raises(ShapeError, match="plan-shaped samples must have nonnegative values"):
+            Lemma2Plan(2, 2, SampleSet(xs, -np.ones(7)))
+        with pytest.raises(ShapeError, match=r"plan shape \(m=1, n=2\) needs 4 samples, got 7"):
+            Lemma2Plan(1, 2, SampleSet(xs, np.ones(7), 2, 2))
+
     def test_duplicate_abscissae_rejected(self):
         with pytest.raises(ShapeError):
             SampleSet([0.0, 0.5, 0.5, 0.75, 1.0], np.ones(5), 2, 1)

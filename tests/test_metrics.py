@@ -59,6 +59,11 @@ class TestGridSpec:
         assert default_grid(2).points_per_axis == 2048
         assert default_grid(3).points_per_axis == 256
 
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_no_default_outside_d_1_to_3(self, d):
+        with pytest.raises(ShapeError, match=r"default grids cover d in \{1, 2, 3\}"):
+            default_grid(d)
+
     @pytest.mark.parametrize("d,p", [(1, 1000.0), (1.0, 100), (True, 100), (2, True),
                                      (1, np.float64(100)), (1, "100")])
     def test_non_integral_sizes_rejected(self, d, p):

@@ -181,6 +181,26 @@ class TestValidation:
         with pytest.raises(ShapeError):
             ReluNetwork(1, ((np.array([[np.inf]]), np.zeros(1)),))
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ReluNetwork(1, ()), "a network needs at least one affine layer"),
+        (lambda: ReluNetwork(1, ((np.ones(1), np.zeros(1)),)),
+         r"layer 0: weight must be \(out, in\), bias \(out,\)"),
+        (lambda: ReluNetwork(1, ((np.ones((1, 1)), np.zeros((1, 1))),)),
+         r"layer 0: weight must be \(out, in\), bias \(out,\)"),
+        (lambda: ReluNetwork(1, ((np.ones((2, 1)), np.zeros(1)),)),
+         r"layer 0: weight must be \(out, in\), bias \(out,\)"),
+        (lambda: evaluate_batch(ReluNetwork(2, ((np.ones((1, 2)), np.zeros(1)),)), np.zeros(4)),
+         "flat input array only valid for input_dim=1"),
+        (lambda: evaluate_batch(ReluNetwork(2, ((np.ones((1, 2)), np.zeros(1)),)),
+                                np.zeros((4, 3))), "expected points of dimension 2"),
+        (lambda: evaluate_batch(relu_identity_net(), np.zeros((2, 2, 1))),
+         "expected points of dimension 1"),
+    ], ids=["no-layers", "flat-weight", "matrix-bias", "bias-length", "flat-2d-input",
+            "wrong-columns", "three-axis-input"])
+    def test_input_checks(self, make, match):
+        with pytest.raises(ShapeError, match=match):
+            make()
+
 
 class TestCompose:
     def test_relu_identity_outer_preserves_nonnegative_inner(self):
@@ -402,6 +422,20 @@ def test_deserialize_rejects_a_weight_or_bias_that_is_not_numbers(entry, value):
     doc = json.dumps({"input_dim": 1, "layers": [layer]})
     with pytest.raises(ParseError, match=f"layer 0 {entry} must be"):
         deserialize(doc)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([1.0], "network document must carry input_dim and layers"),
+    ({"layers": []}, "network document must carry input_dim and layers"),
+    ({"input_dim": 1}, "network document must carry input_dim and layers"),
+    ({"input_dim": 1, "layers": [{"weight": [[1.0]]}]},
+     "network document has malformed layer entries: 'bias'"),
+    ({"input_dim": 1, "layers": 5}, "network document has malformed layer entries"),
+    ({"input_dim": 1, "layers": [[1.0]]}, "network document has malformed layer entries"),
+], ids=["list", "no-input-dim", "no-layers", "no-bias", "layers-number", "layer-list"])
+def test_deserialize_rejects_a_document_without_its_entries(doc, match):
+    with pytest.raises(ParseError, match=match):
+        deserialize(json.dumps(doc))
 
 
 def test_parameter_count():

@@ -454,6 +454,24 @@ class TestCorollary32:
         assert err == 0.0
         assert net.hidden_widths == [8, 5]
 
+    def test_collision_at_the_floor_is_raised(self, monkeypatch):
+        # a width that collides is skipped while a narrower one remains; at
+        # the floor the collision itself ends the search
+        widths = []
+
+        def colliding(sample, interior, m, n):
+            def build(delta):
+                widths.append(delta)
+                raise ResolutionError("grid collision while narrowing slivers")
+
+            return build
+
+        monkeypatch.setattr(construct, "_sliver_fit", colliding)
+        with pytest.raises(ResolutionError, match="grid collision while narrowing slivers"):
+            corollary32_check(_HAT, 2, 2, 1e-3)
+        assert len(widths) > 1 and widths[-1] == DeltaPolicy().floor
+        assert all(w > widths[-1] for w in widths[:-1])
+
 
 def takagi(levels):
     """Truncated Takagi function ``sum_{k<levels} 2^-k dist(2^k x, Z)``.
@@ -485,6 +503,22 @@ def test_certificate_spot_check_warns():
     understated = HolderTarget(f=takagi(16), d=1, alpha=1.0, nu=5.0)
     with pytest.warns(RuntimeWarning, match=r"ratio 2\.400"):
         build_1d(understated, 2)
+
+
+def test_certificate_spot_checked_once_per_target(monkeypatch):
+    # the ratio is kept on the target; every build still warns with it
+    checked = []
+    check = construct.spot_check_holder
+    monkeypatch.setattr(construct, "spot_check_holder", lambda t: checked.append(t) or check(t))
+    bad = HolderTarget(f=lambda pts: 100.0 * pts[:, 0] ** 2, d=1, alpha=1.0, nu=1.0)
+    for big_n in (2, 3, 2):
+        with pytest.warns(RuntimeWarning, match=r"ratio 199\.976"):
+            build_1d(bad, big_n)
+    assert checked == [bad]
+    cone = holder_family("cone", 2, 1.0, 1.0)
+    build_dd(cone, 4)
+    build_dd(cone, 9)
+    assert checked == [bad, cone]
 
 
 _CONE_1D = holder_family("cone", 1, 1.0, 1.0)
