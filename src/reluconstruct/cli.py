@@ -485,15 +485,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _config_tokens(ap: argparse.ArgumentParser, command: str, path: str) -> list[str]:
-    """A config document as ``--key value`` tokens, so argparse types and checks it.
-
-    Every key must name a long flag of ``command`` exactly: argparse would
-    take a misspelt key that prefixes a flag as that flag.
-    """
+def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with its command's ``--config`` keys as ``--key value`` tokens after the
+    command: flags on the line win, and one parse checks all, required flags included.
+    A key must name a long flag exactly, as argparse would expand a misspelt prefix."""
+    # the top level takes no values, so its first non-flag token is the command
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
     # argparse keeps a subcommand's flags only in private attributes
     (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = sub.choices[command]._option_string_actions
+    flags = getattr(sub.choices.get(command), "_option_string_actions", {})
+    if "--config" not in flags:
+        return argv
+    # --config (or a prefix of it) alone, as a full parse wants the required flags
+    at = argv.index(command) + 1
+    pre = argparse.ArgumentParser(prog=sub.choices[command].prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[at:])[0].config
+    if path is None:
+        return argv
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -506,19 +515,14 @@ def _config_tokens(ap: argparse.ArgumentParser, command: str, path: str) -> list
         if value is not None:
             tokens.append(flag)
             tokens.extend(map(str, value if isinstance(value, list) else [value]))
-    return tokens
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = _parser()
     try:
-        args = ap.parse_args(argv)
-        if getattr(args, "config", None) is not None:
-            # config flags go before the user's own, so the user's win
-            at = argv.index(args.command) + 1
-            tokens = _config_tokens(ap, args.command, args.config)
-            args = ap.parse_args(argv[:at] + tokens + argv[at:])
+        args = ap.parse_args(_with_config(ap, argv))
         return args.func(args)
     except (ValueError, RegistryError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)

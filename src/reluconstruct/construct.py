@@ -70,8 +70,8 @@ EMPIRICAL_SHRINK = "empirical-shrink"
 # a factor ~(1 + block/gap) per stage, which compounds factorially.
 RESIDUAL_SNAP = 1e-12
 
-# Share of a block's width that each x_{k+1} - x_{k-1} must exceed for the
-# three-pass lemma-2 stages (see lemma2_interpolant).
+# Share of a block's width that each x_{k+1} - x_{k-1} must exceed for a
+# lemma-2 stage k > 0 to skip its piece's clip (see lemma2_interpolant).
 LINE_MARGIN = 1e-14
 
 # Factor between successive empirical-shrink delta candidates.
@@ -167,15 +167,16 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     ``residuals=True`` it updates every row and records the whole grid.
     The last sample lies past every block; its residual is 0 after stage 0.
 
-    On rows r > k a piece's pre-activation is ``s (x_r - x_{k-1}) >= |f_k|
-    > RESIDUAL_SNAP``, s its slope, and its f64 value is within about 11
-    ulps of s times the block width.  So when every ``x_{k+1} - x_{k-1}``
+    Every stage subtracts its signed line, clipped per block to ``max(., 0)``
+    (plus) or ``min(., -0)`` (minus): the sign times ``max(|line|, 0)`` to the
+    bit.  On rows r > k a piece's pre-activation is ``s (x_r - x_{k-1}) >=
+    |f_k| > RESIDUAL_SNAP``, s its slope, and its f64 value is within about
+    11 ulps of s times the block width.  So when every ``x_{k+1} - x_{k-1}``
     exceeds ``LINE_MARGIN`` of its block's width (:func:`_lines_positive`,
-    checked once per call) ``max(., 0)`` is a no-op there, and a stage takes
-    three passes: multiply, add, and subtract the line, its sign folded
-    exactly into its coefficients.  Other grids, and ``residuals=True``,
-    take five.  Stage k leaves row k as it read it, so the sign classes and
-    the pieces' break-point values are filled after the loop.
+    checked once per call) a stage k > 0 skips the no-op clip and takes three
+    passes: multiply, add, and subtract the line.  Stage 0, ``residuals=True``
+    and other grids clip.  Stage k leaves row k as it read it, so the sign
+    classes and the pieces' break-point values are filled after the loop.
 
     Returns ``(network, trace)``; the trace holds the n + 2 grid-size
     residual vectors only with ``residuals=True``.
@@ -217,28 +218,32 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
         trace.residuals.append(r)
         return r
 
-    def update(lo: int, e0, e1, sign=1.0):
-        """``f -= sign * max(line, 0)`` on rows lo..n, per block.
-
-        The line runs through the block's break-point values e0 (row 0) and
-        e1 (row n); like ``np.interp``, the two node rows take them unchanged.
-        """
-        np.multiply((e1 - e0) / t[n], t[lo:n], out=line[lo:n])
-        line[lo:n] += e0
+    def subtract(lo: int, e0, e1, plus):
+        """``f -= piece`` on rows lo..n, per block: the line through e0 (row 0) and e1
+        (row n), which the node rows take unchanged as in ``np.interp``, clipped to
+        ``max(., 0)`` on the blocks in ``plus`` and ``min(., -0)`` on the rest; None: no clip."""
+        rows = line[lo:n]
+        np.multiply((e1 - e0) / t[n], t[lo:n], out=rows)
+        rows += e0
+        if plus is None:
+            f[lo:n] -= rows
+            f[n] -= e1
+            return
         line[0], line[n] = e0, e1
         rows = line[lo:]
-        np.maximum(rows, 0.0, out=rows)
-        rows *= sign
+        # not np.clip: it keeps a zero of the sign that its bound lacks
+        np.maximum(rows, np.where(plus, 0.0, -np.inf), out=rows)
+        np.minimum(rows, np.where(plus, np.inf, -0.0), out=rows)
         f[lo:] -= rows
 
     if residuals:
         record()
-    update(0 if residuals else 1, f[0].copy(), f[n].copy())
+    subtract(0 if residuals else 1, f[0].copy(), f[n].copy(), True)
     tail -= np.maximum(tail, 0.0)
     if residuals:
         record()
 
-    three_pass = not residuals and _lines_positive(xs, m, n)
+    clip = residuals or not _lines_positive(xs, m, n)
     # row k-1 holds the residual that stage k reads; without residuals no
     # stage writes row k after stage k-1, so f keeps them
     vals = np.empty((n, m)) if residuals else f[1:]
@@ -248,22 +253,12 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
         if residuals:
             vals[k - 1] = v
         snapped = np.abs(v) <= snap
-        if three_pass:
-            # v / dx is the piece's sign times its slope |v| / dx, exactly
-            s = v / dx[k - 1]
-            s[snapped] = 0.0
-            e0, e1 = s * from_prev[k - 1, :, 0], s * from_prev[k - 1, :, 1]
-            rows = line[k + 1:n]
-            np.multiply((e1 - e0) / t[n], t[k + 1:n], out=rows)
-            rows += e0
-            f[k + 1:n] -= rows
-            f[n] -= e1
-            continue
-        ends = (np.abs(v) / dx[k - 1])[:, None] * from_prev[k - 1]
-        ends[snapped] = 0.0
+        # v / dx is the piece's sign times its slope |v| / dx, exactly
+        s = v / dx[k - 1]
+        s[snapped] = 0.0
         # ties (residual exactly zero) go to the plus class
-        sign = np.where((v >= 0) | snapped, 1.0, -1.0)
-        update(0 if residuals else k + 1, ends[:, 0], ends[:, 1], sign)
+        subtract(0 if residuals else k + 1, s * from_prev[k - 1, :, 0],
+                 s * from_prev[k - 1, :, 1], (v >= 0) | snapped if clip else None)
         if residuals:
             # a stage is ``f - gp + gm``: its last step adds 0.0, which turns
             # a -0 into +0.  A zero's sign changes no nonzero value of a

@@ -638,6 +638,61 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestConfigFile:
+    """A config supplies any long flag of its command, the required ones included."""
+
+    def write(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return cfg
+
+    def test_sweep_takes_its_required_flags_from_the_config(self, tmp_path):
+        cfg = self.write(tmp_path, {"N": [2, 3, 4], "alpha": 0.5, "grid_points": 2000})
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "config.csv"]) == 0
+        assert run(["sweep", "--N", "2", "3", "4", "--alpha", "0.5", "--grid-points", "2000",
+                    "--out", tmp_path / "flags.csv"]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+        # every flag of the command, --out too
+        cfg = self.write(tmp_path, {"N": [2, 3, 4], "grid_points": 2000,
+                                    "out": str(tmp_path / "all.csv")})
+        assert run(["sweep", "--config", cfg]) == 0
+        rows = (tmp_path / "all.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[4] for row in rows] == ["2", "3", "4"]
+
+    def test_construct_takes_its_required_flags_from_the_config(self, tmp_path):
+        out = tmp_path / "net.json"
+        cfg = self.write(tmp_path, {"N": 2, "out": str(out), "grid_points": 1000})
+        assert run(["construct", "--config", cfg]) == 0
+        assert deserialize(out.read_bytes()).hidden_widths == [4, 5]
+
+    def test_flags_on_the_line_override_required_keys(self, tmp_path):
+        cfg = self.write(tmp_path, {"N": [2, 3, 4], "grid_points": 2000,
+                                    "out": str(tmp_path / "config.csv")})
+        out = tmp_path / "line.csv"
+        # --conf is argparse's abbreviation of --config
+        assert run(["sweep", "--conf", cfg, "--N", "2", "3", "5", "--out", out]) == 0
+        assert not (tmp_path / "config.csv").exists()
+        header = json.loads(out.read_text().splitlines()[0][2:])
+        assert header["config"]["N"] == [2, 3, 5]
+
+    def test_misspelt_key_beside_required_keys(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        cfg = self.write(tmp_path, {"N": [2, 3, 4], "out": str(out), "alph": 0.5})
+        assert exit_code(["sweep", "--config", cfg]) == 2
+        assert "'alph'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_commands_without_a_config_flag(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"net": "missing.json"})
+        assert exit_code(["eval", "--config", cfg]) == 2
+        assert exit_code(["eval", "--config", cfg, "--net", tmp_path / "missing.json"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_config_flag_without_a_value(self, capsys):
+        assert exit_code(["sweep", "--config"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+
 class TestParser:
     def test_main_reuses_one_parser_with_the_outputs_of_fresh_ones(self, tmp_path, capsys,
                                                                   monkeypatch):

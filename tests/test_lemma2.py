@@ -15,7 +15,8 @@ from reluconstruct import (
     parameter_count,
     serialize,
 )
-from reluconstruct import DeltaPolicy, build_dd, holder_family
+from reluconstruct import (CplFunction, DeltaPolicy, build_1d, build_dd, corollary32_check,
+                           holder_family)
 from reluconstruct import construct
 from reluconstruct.construct import RESIDUAL_SNAP, _closure_grid, _lines_positive
 from reluconstruct.cpl import MIN_BREAK_GAP, _fit_one_layer_row
@@ -467,6 +468,70 @@ class TestLibraryGridsPassTheCheck:
         c = build_dd(holder_family("cone", d, 0.5, 1.0), big_n)
         assert c.n == cells
         assert _lines_positive(c.grid, c.n_prime, c.n_prime)
+
+
+def force_clip(monkeypatch):
+    """Make every lemma-2 call clip its stages; returns the list of check calls."""
+    calls = []
+    monkeypatch.setattr(construct, "_lines_positive", lambda *args: calls.append(args) or False)
+    return calls
+
+
+class TestForcedClipOnLibraryGrids:
+    """The clip a stage k > 0 skips changes no byte on the grids the library builds."""
+
+    def assert_same_with_clip(self, monkeypatch, outputs):
+        want = outputs()
+        calls = force_clip(monkeypatch)
+        assert outputs() == want
+        assert calls
+
+    def test_build_1d(self, monkeypatch):
+        def outputs():
+            return [(serialize(c.net), c.delta.delta)
+                    for alpha in (0.5, 1.0) for big_n in [*range(2, 33), 64, 128, 256]
+                    for c in [build_1d(holder_family("cone", 1, alpha, 1.0), big_n)]]
+
+        self.assert_same_with_clip(monkeypatch, outputs)
+
+    def test_closure_grids(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = [(m, n, CplFunction(np.concatenate(([0.0], inner, [1.0])),
+                                    rng.uniform(-1.0, 1.0, inner.size + 2)))
+                 for m, n, inner in closure_interiors()]
+
+        def outputs():
+            return [(serialize(net), err) for m, n, g in cases
+                    for net, err in [corollary32_check(g, m, n, 1e-3)]]
+
+        self.assert_same_with_clip(monkeypatch, outputs)
+
+    def test_build_dd_padded_grids(self, monkeypatch):
+        def outputs():
+            return [(serialize(c.net), c.delta.delta)
+                    for d, cells in [(2, n) for n in range(2, 17)] + [(3, n) for n in range(2, 17)]
+                    for c in [build_dd(holder_family("cone", d, 0.5, 1.0),
+                                       next(k for k in range(2, 100) if k * k >= cells ** d))]]
+
+        self.assert_same_with_clip(monkeypatch, outputs)
+
+
+def wide_block_grid(n):
+    """Two blocks about 1.5e3 wide, each with a run of n - 1 points one ulp apart."""
+
+    def block(start, run, end):
+        return np.concatenate(([start], run + np.spacing(abs(run)) * np.arange(n - 1), [end]))
+
+    return np.concatenate((block(-2000.0, -1000.0, -500.0), block(-499.0, 600.0, 1000.0), [1001.0]))
+
+
+def test_grid_that_fails_the_check_records_five_pass_residuals():
+    n = 10
+    xs = wide_block_grid(n)
+    assert not _lines_positive(xs, 2, n)
+    rng = np.random.default_rng(52)
+    plan = Lemma2Plan(2, n, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), 2, n))
+    assert_matches_five_pass(plan, residuals=True)
 
 
 class TestPreconditions:
