@@ -26,8 +26,10 @@ __all__ = [
 
 # largest grid any caller may ask for: the d = 3 default, 256^3 points
 GRID_POINT_CAP = 256**3
-# a d > 1 pass builds its table of distinct grid rows once per this many
-# points; a table per block ran d > 1 grids 10-25% slower
+# a d > 1 pass tables each network's CPL and the cone's outer once per this
+# many points, on the distinct leading sums of the chunk's rows by the
+# distinct last-axis entries: at most (_CHUNK / p + 2) x p values.  A table
+# per block ran d > 1 grids 10-25% slower
 _CHUNK = 1 << 18
 # the grid is evaluated and reduced in blocks of this many points, in index
 # order, so the sums are bit-stable regardless of how callers parallelize
@@ -163,15 +165,29 @@ def _compile(net: ReluNetwork, pts: np.ndarray | None):
     return tables, net_to_cpl_exact(tail, lo - pad, hi + pad)
 
 
+def _separable(fn, tables):
+    """``fn(tables[0][j_0] + ... + tables[-1][j_{d-1}])`` as a d > 1 pass
+    tables it: ``fn``, the leading tables, the last table's distinct entries
+    and each axis point's index among them."""
+    cols, inv = np.unique(tables[-1], return_inverse=True)
+    return fn, tables[:-1], cols, inv
+
+
 def _network_form(net: ReluNetwork, pts: np.ndarray | None):
-    """The network as a pass evaluates it: ``(tables, outer, None)`` from
-    ``_compile``, or ``((), None, net)`` when it has no finite compiled form."""
+    """The network as a pass evaluates it: ``(separable, None, None)`` for a
+    d > 1 compiled form, ``(None, outer, None)`` for d = 1 (see ``_compile``),
+    or ``(None, None, net)`` when it has no finite compiled form."""
     try:  # a compiled form that overflows leaves the grid to the dense pass
         with np.errstate(over="ignore", invalid="ignore"):
             compiled = _compile(net, pts)
     except ValueError:
         compiled = None
-    return (*compiled, None) if compiled else ((), None, net)
+    if compiled is None:
+        return None, None, net
+    tables, outer = compiled
+    if not tables:
+        return None, outer, None
+    return _separable(lambda z: np.interp(z, outer.breaks, outer.values), tables), None, None
 
 
 def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
@@ -181,12 +197,14 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     that network.  Each network is compiled once, through ``map``.  The grid
     is walked in ``_CHUNK``s, ``map(fn, starts)`` running ``fn`` on the chunk
     at each start and yielding the results in order (the builtin ``map``, or
-    a pool's).  A chunk lays out each block's points and calls the target
-    once per block, then reduces every network against that block while it
-    is in cache.  It returns each network's ``(max, sum)`` per block, to its
-    first non-finite block, and the target's exception or None.  The fold
-    decides every failure and adds the sums, both in index order, so every
-    figure is the same bits whatever ``map`` runs the chunks.
+    a pool's).  A chunk tables every separable function of a d > 1 pass (see
+    ``grid_errors``), then walks its blocks: it takes each block's target
+    values, from its table or from one call of the target on the block's
+    points, and reduces every network against them while they are in cache.
+    It returns each network's ``(max, sum)`` per block, to its first
+    non-finite block, and the target's exception or None.  The fold decides
+    every failure and adds the sums, both in index order, so every figure is
+    the same bits whatever ``map`` runs the chunks.
     """
     p, d, size = grid.points_per_axis, grid.d, grid.total_points
     results = [(0.0, 0.0) if net.input_dim == d
@@ -198,52 +216,58 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     pts = None if d == 1 else (np.arange(p) + 0.5) / p
     forms = list(map(lambda i: _network_form(nets[i], pts), live))
     form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
-    f_table = f_outer = None
+    target = None
     if d > 1 and form is not None and form[0] == d:
-        f_table, f_outer = form[1](pts), form[2]
-    need_coords = f_outer is None or any(outer is None for _, outer, _ in forms)
+        target = _separable(form[2], [form[1](pts)] * d)
+    need_coords = target is None or any(net is not None for _, _, net in forms)
     weight = math.prod([1.0 / p] * d)
 
     def chunk(start: int) -> tuple:
         stop = min(start + _CHUNK, size)
-        r0 = start // p
-        # per compiled d > 1 network: outer on the chunk's distinct rows
-        row_tables = []
-        for tables, outer, _ in forms:
-            if tables:
-                uniq, inv = np.unique(_row_sums(tables[:-1], p, r0, (stop - 1) // p + 1),
-                                      return_inverse=True)
-                row_tables.append((np.interp(uniq[:, None] + tables[-1], outer.breaks,
-                                             outer.values), inv))
-            else:
-                row_tables.append(None)
+        r0, r1 = start // p, (stop - 1) // p + 1
+
+        def tabled(fn, lead, cols, inv):
+            """``fn`` on each distinct (leading sum, last-axis entry) pair of the
+            chunk's rows, and the reader of a block's values from that table."""
+            sums, rows = np.unique(_row_sums(lead, p, r0, r1), return_inverse=True)
+            table = fn(sums[:, None] + cols)
+            if len(sums) < r1 - r0:
+                # rows repeat: one column gather here moves fewer values than one per block
+                table, inv = table.take(inv, axis=1), None
+
+            def read(lo, hi):  # the block's rows, then its columns, from column lo % p
+                out = table[rows[lo // p - r0:(hi - 1) // p - r0 + 1]]
+                if inv is not None:
+                    out = out.take(inv, axis=1)  # out[:, inv] took twice as long
+                return out.ravel()[lo % p:lo % p + hi - lo]
+
+            return read
+
+        readers = [sep and tabled(*sep) for sep, _, _ in forms]
         blocks = [[] for _ in forms]
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
             coords = _coords(grid, pts, lo, hi) if need_coords else None
             try:
-                if f_outer is None:
+                if target is None:
                     fv = np.asarray(f(coords), dtype=float)
                     if fv.shape != (hi - lo,):
                         raise ShapeError("target must map (k, d) points to (k,) values")
                 else:
-                    # the block's rows, from column lo % p of the first
-                    lead = _row_sums([f_table] * (d - 1), p, lo // p, (hi - 1) // p + 1)
-                    fv = f_outer((lead[:, None] + f_table).ravel()[lo % p:lo % p + hi - lo])
+                    if lo == start:  # tabled here, so a target that raises fails every network
+                        target_read = tabled(*target)
+                    fv = target_read(lo, hi)
             except Exception as e:  # the fold fails every network still measured
                 return blocks, e
-            for (_, outer, net), table, pairs in zip(forms, row_tables, blocks):
+            for (_, outer, net), read, pairs in zip(forms, readers, blocks):
                 if pairs and not math.isfinite(pairs[-1][0]):
                     continue  # failed: the fold reports it
-                if outer is None:
+                if net is not None:
                     nv = evaluate_batch(net, coords)
-                elif d == 1:
+                elif read is None:
                     nv = np.interp(coords[:, 0], outer.breaks, outer.values)
                 else:
-                    # rows r0 + first.. of the table hold the block, from column lo % p
-                    rows, inv = table
-                    first = lo // p - r0
-                    nv = rows[inv[first:(hi - 1) // p - r0 + 1]].ravel()[lo % p:lo % p + hi - lo]
+                    nv = read(lo, hi)
                 # every nv is a fresh array: the errors overwrite it
                 err = np.subtract(fv, nv, out=nv)
                 np.abs(err, out=err)
@@ -279,20 +303,25 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     C order in blocks of ``_BLOCK`` points (see ``_coords``), each reduced as
     soon as it is evaluated, while its values are in cache.  For d > 1 a
     point's table sum is its row's leading sum (``_row_sums``) plus its
-    last-axis table entry, the same operands added in the same order, so
-    each ``_CHUNK`` evaluates ``outer`` once per distinct leading sum and
-    last-axis index (at most ``_CHUNK / p + 2`` rows; the psi encoder sorts
-    each coordinate into a few cells, so rows repeat) and its blocks read
-    from that table.  A d = 1 block goes through ``np.interp`` directly, and
-    a network without a finite compiled form through ``evaluate_batch``.
+    last-axis table entry, the same operands added in the same order.  The
+    pass takes the distinct last-axis entries once, and each ``_CHUNK``
+    evaluates ``outer`` once per distinct leading sum of its rows and
+    distinct last-axis entry (at most ``_CHUNK / p + 2`` rows by p columns;
+    the psi encoder sorts each coordinate into a few cells, so both repeat).
+    Each block gathers its rows of that table, then its columns; where the
+    chunk's rows repeat, its table gathers the columns once instead.  ``np.unique`` merges -0.0 with
+    +0.0, but no leading sum is -0.0, so every sum keeps its bits.  A d = 1
+    block goes through ``np.interp`` directly, and a network without a
+    finite compiled form through ``evaluate_batch``.
 
     The target is called once per block on its ``(k, d)`` points, except a
     ``holder_family("cone", d, ...)`` target (or its ``.f``) on a d > 1 grid:
-    its axis function is tabled once per pass, and each block adds its rows'
-    leading sums of that table to the table itself and applies the cone's
-    outer function, the per-point call's operations in its order.  Any other
-    callable keeps the per-point path; a ``functools.wraps`` wrapper of the
-    cone's ``f`` copies its form and takes the table path.  This is
+    its axis function is tabled once per pass, and its outer function is
+    tabled per chunk as a network's ``outer`` is, on the same operands as
+    the per-point call, elementwise.  Its axis function is symmetric about
+    0.5, so its last-axis entries repeat on every grid.  Any other callable
+    keeps the per-point path; a ``functools.wraps`` wrapper of the cone's
+    ``f`` copies its form and takes the table path.  This is
     ``_grid_metrics`` on one network.
     """
     result = _grid_metrics(f, [net], grid)[0]

@@ -432,6 +432,16 @@ def block_sizes(grid, block):
 LAYOUT_GRIDS = [(2, 600), (3, 70), (4, 25), (1, 2**18 + 5)]
 
 
+def signed_zero_tables(d, p):
+    """Random tables with both signs, some -0.0 entries and some +0.0 ones."""
+    rng = np.random.default_rng(p)
+    tables = [rng.normal(size=p) for _ in range(d)]
+    for t in tables:
+        t[::7] = -0.0
+        t[3::7] = 0.0
+    return tables
+
+
 class TestChunkLayout:
     """Each chunk is laid out in blocks; the blocks of a chunk, joined, are
     that chunk of the per-point reference, and a point's row sum plus its
@@ -464,12 +474,8 @@ class TestChunkLayout:
 
     @pytest.mark.parametrize("d,p", LAYOUT_GRIDS[:3])
     def test_row_sum_plus_last_table_is_the_per_point_sum(self, d, p):
-        # random tables with both signs and some -0.0 entries, which the
-        # integer start of either sum turns into +0.0
-        rng = np.random.default_rng(p)
-        tables = [rng.normal(size=p) for _ in range(d)]
-        for t in tables:
-            t[::7] = -0.0
+        # the integer start of either sum turns a -0.0 entry into +0.0
+        tables = signed_zero_tables(d, p)
         grid = GridSpec(d, p)
         for c, (_, _, axes) in enumerate(reference_chunks(grid)):
             q = c * metrics._CHUNK + np.arange(len(axes))
@@ -479,6 +485,21 @@ class TestChunkLayout:
             got = lead[q // p - r0] + tables[-1][q % p]
             want = sum(t[j] for t, j in zip(tables, axes.T))
             assert got.tobytes() == want.tobytes()
+
+    @MIDPOINT
+    @pytest.mark.parametrize("d,p", LAYOUT_GRIDS[:3])
+    def test_signed_zero_tables_keep_their_errors(self, d, p, quadrature, monkeypatch):
+        # a chunk tables the distinct last-axis entries, and np.unique merges
+        # -0.0 with +0.0; no leading sum is -0.0, so each point's sum, and so
+        # every error, keeps the per-point table sum's bits
+        tables = signed_zero_tables(d, p)
+        last = tables[-1]
+        assert len(np.unique(last)) == len(np.unique(last.view(np.int64))) - 1
+        outer = CplFunction(d * np.array([-3.0, -0.5, 0.0, 0.7, 3.0]),
+                            np.array([1.0, -0.2, 0.3, 0.1, -1.0]))
+        monkeypatch.setattr(metrics, "_compile", lambda net, pts: (tables, outer))
+        grid, f, net = GridSpec(d, p), tilted(d), zero_net(d)
+        assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
 
     @MIDPOINT
     @pytest.mark.parametrize("case", ["compiled", "dense"])
@@ -540,9 +561,12 @@ class TestRowTable:
             assert grid_errors(f, net, grid) == reference_errors(f, net, grid)
         assert calls == []
         # the psi encoder sorts each coordinate into a few cells, so rows
-        # repeat: each of the two passes tables under a quarter of its rows
+        # repeat: each of the two passes tables under a quarter of its rows,
+        # and each table has one column per distinct last-axis entry
         assert len(shapes) == 2 * len(rows_spanned(grid))
         assert sum(rows for rows, _ in shapes) * 4 < 2 * sum(rows_spanned(grid))
+        last = metrics._compile(net, midpoints(grid))[0][-1]
+        assert all(width == len(np.unique(last)) < p for _, width in shapes)
 
     @MIDPOINT
     @pytest.mark.parametrize("d,p", [(2, 1024), (2, 333), (3, 50)])
@@ -620,6 +644,20 @@ class TestBlockEdges:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+    def test_d2_pass_holds_its_tables_not_the_chunk(self):
+        # the cone's and the network's chunk tables hold distinct leading sums
+        # by distinct last-axis entries: 1.59 MiB traced, where evaluating
+        # the cone per block peaked at 0.83 MiB
+        net, grid = build_dd(cone(2), 16).net, GridSpec(2, 1024)
+        grid_errors(cone(2), net, grid)  # first-call allocations
+        tracemalloc.start()
+        try:
+            grid_errors(cone(2), net, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_d1_pass_holds_blocks_not_the_grid(self, monkeypatch):
         # 2^22 points: the whole axis array and its arange took 64 MiB
@@ -846,6 +884,35 @@ class TestConeTable:
         monkeypatch.setattr(metrics, "_coords", no_coords)
         assert grid_errors(HolderTarget(recording, d, t.alpha, t.nu), net, grid) == want
         assert seen == []
+
+    @pytest.mark.parametrize("d,p,want", [(2, 1024, 524_288), (3, 64, 12_736)])
+    def test_outer_sees_each_distinct_sum_once_per_chunk(self, d, p, want):
+        t, net, grid = cone(d), build_dd(cone(d), 16 if d == 2 else 27).net, GridSpec(d, p)
+        dim, axis, outer = t.f._axis_form
+        seen = []
+
+        def counting(s):
+            seen.append(s.size)
+            return outer(s)
+
+        t.f._axis_form = (dim, axis, counting)
+        assert grid_errors(t, net, grid) == grid_errors(lambda pts: t(pts), net, grid)
+        # per chunk: its distinct leading sums times the distinct last-axis
+        # entries, where the per-point path feeds outer all p**d points
+        table = axis(midpoints(grid))
+        tabled = sum(len(np.unique(sum(table[j] for j in axes.T[:-1]))) * len(np.unique(table))
+                     for _, _, axes in reference_chunks(grid))
+        assert sum(seen) == tabled == want < grid.total_points
+
+    def test_outer_that_raises_fails_every_network(self):
+        t = cone(2)
+
+        def failing(s):
+            raise FloatingPointError("outer failed")
+
+        t.f._axis_form = (*t.f._axis_form[:2], failing)
+        got = metrics._grid_metrics(t, [build_dd(cone(2), 4).net, zero_net(2)], GridSpec(2, 64))
+        assert [(type(e), str(e)) for e in got] == [(FloatingPointError, "outer failed")] * 2
 
     def test_cone_of_another_dimension_rejected(self):
         with pytest.raises(ShapeError, match="d = 3 cone"):
