@@ -696,12 +696,13 @@ def build_dd(target: HolderTarget, big_n: int, policy: DeltaPolicy | None = None
 
     plan = Lemma2Plan(n_prime, n_prime, SampleSet(xs, ys, n_prime, n_prime))
     phibar, _ = lemma2_interpolant(plan)
-    sup = cpl_sup(net_to_cpl_exact(phibar, 0.0, 1.0), 0.0, 1.0)
+    # compiled at the first measurement: paper mode takes none
+    sup = functools.cache(lambda: cpl_sup(net_to_cpl_exact(phibar, 0.0, 1.0), 0.0, 1.0))
 
     def h1_error(delta: float) -> float:
         # the separating region has measure <= d*n*delta and the integrand
         # is at most (lifted data bound) + sup of the line fit
-        return d * n * delta * (2.0 * sqd + sup)
+        return d * n * delta * (2.0 * sqd + sup())
 
     denom_log = math.log(2.0 * n * d * sqd) + np.logaddexp(
         0.0, math.log(3.0) + math.lgamma(n_prime + 2)

@@ -167,44 +167,47 @@ def _compile(net: ReluNetwork, pts: np.ndarray | None):
 
 def _separable(fn, tables):
     """``fn(tables[0][j_0] + ... + tables[-1][j_{d-1}])`` as a d > 1 pass
-    tables it: ``fn``, the leading tables, the last table's distinct entries
-    and each axis point's index among them."""
+    tables it: ``(fn, sep)``, ``sep`` the leading tables, the last table's
+    distinct entries and each axis point's index among them."""
     cols, inv = np.unique(tables[-1], return_inverse=True)
-    return fn, tables[:-1], cols, inv
+    return fn, (tables[:-1], cols, inv)
 
 
 def _network_form(net: ReluNetwork, pts: np.ndarray | None):
-    """The network as a pass evaluates it: ``(separable, None, None)`` for a
-    d > 1 compiled form, ``(None, outer, None)`` for d = 1 (see ``_compile``),
-    or ``(None, None, net)`` when it has no finite compiled form."""
+    """The network as a pass evaluates it, a ``(fn, sep)`` pair (see
+    ``_grid_metrics``): its compiled CPL through ``np.interp``, tabled for
+    d > 1 and on the points' one coordinate for d = 1 (see ``_compile``), or
+    ``evaluate_batch`` on the points when it has no finite compiled form."""
     try:  # a compiled form that overflows leaves the grid to the dense pass
         with np.errstate(over="ignore", invalid="ignore"):
             compiled = _compile(net, pts)
     except ValueError:
         compiled = None
-    if compiled is None:
-        return None, None, net
+    if compiled is None:  # evaluate_batch is looked up per call, where a tracer patches it
+        return (lambda points: evaluate_batch(net, points)), None
     tables, outer = compiled
     if not tables:
-        return None, outer, None
-    return _separable(lambda z: np.interp(z, outer.breaks, outer.values), tables), None, None
+        return (lambda points: np.interp(points[:, 0], outer.breaks, outer.values)), None
+    return _separable(lambda z: np.interp(z, outer.breaks, outer.values), tables)
 
 
 def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     """``grid_errors(f, net, grid)`` for every network of ``nets``, from one pass over the grid.
 
     Each entry is ``(L1, Linf)`` or the exception ``grid_errors`` raises for
-    that network.  Each network is compiled once, through ``map``.  The grid
-    is walked in ``_CHUNK``s, ``map(fn, starts)`` running ``fn`` on the chunk
-    at each start and yielding the results in order (the builtin ``map``, or
-    a pool's).  A chunk tables every separable function of a d > 1 pass (see
-    ``grid_errors``), then walks its blocks: it takes each block's target
-    values, from its table or from one call of the target on the block's
-    points, and reduces every network against them while they are in cache.
+    that network.  The target and each network are one function of the grid,
+    ``(fn, sep)``: with ``sep`` None, ``fn`` maps a block's ``(k, d)`` points
+    to its values; otherwise ``fn`` is separable and tabled per chunk (see
+    ``grid_errors``).  Each network's form is made once, through ``map``.
+    The grid is walked in ``_CHUNK``s, ``map(fn, starts)`` running ``fn`` on
+    the chunk at each start and yielding the results in order (the builtin
+    ``map``, or a pool's).  A chunk makes one reader per function, the
+    target's first, then walks its blocks: one read of the target's values
+    and one of each network's, reduced against them while they are in cache.
     It returns each network's ``(max, sum)`` per block, to its first
-    non-finite block, and the target's exception or None.  The fold decides
-    every failure and adds the sums, both in index order, so every figure is
-    the same bits whatever ``map`` runs the chunks.
+    non-finite block, and the first exception any read raised, or None.  The
+    fold decides every failure and adds the sums, both in index order, so
+    every figure is the same bits whatever ``map`` runs the chunks.
     """
     p, d, size = grid.points_per_axis, grid.d, grid.total_points
     results = [(0.0, 0.0) if net.input_dim == d
@@ -215,27 +218,38 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     # the grid cap leaves a d > 1 axis at most 4096 points
     pts = None if d == 1 else (np.arange(p) + 0.5) / p
     forms = list(map(lambda i: _network_form(nets[i], pts), live))
+
+    def checked(points):  # the target on a block's points
+        fv = np.asarray(f(points), dtype=float)
+        if fv.shape != (len(points),):
+            raise ShapeError("target must map (k, d) points to (k,) values")
+        return fv
+
+    target = checked, None
     form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
-    target = None
     if d > 1 and form is not None and form[0] == d:
         target = _separable(form[2], [form[1](pts)] * d)
-    need_coords = target is None or any(net is not None for _, _, net in forms)
+    need_coords = any(sep is None for _, sep in (target, *forms))
     weight = math.prod([1.0 / p] * d)
 
     def chunk(start: int) -> tuple:
         stop = min(start + _CHUNK, size)
         r0, r1 = start // p, (stop - 1) // p + 1
 
-        def tabled(fn, lead, cols, inv):
-            """``fn`` on each distinct (leading sum, last-axis entry) pair of the
-            chunk's rows, and the reader of a block's values from that table."""
+        def reader(fn, sep):
+            """``read(lo, hi, coords)``, a block's values of ``fn``: ``fn`` on
+            its points, or from ``fn``'s table on each distinct (leading sum,
+            last-axis entry) pair of the chunk's rows."""
+            if sep is None:
+                return lambda lo, hi, coords: fn(coords)
+            lead, cols, inv = sep
             sums, rows = np.unique(_row_sums(lead, p, r0, r1), return_inverse=True)
             table = fn(sums[:, None] + cols)
             if len(sums) < r1 - r0:
                 # rows repeat: one column gather here moves fewer values than one per block
                 table, inv = table.take(inv, axis=1), None
 
-            def read(lo, hi):  # the block's rows, then its columns, from column lo % p
+            def read(lo, hi, coords):  # the block's rows, then its columns, from column lo % p
                 out = table[rows[lo // p - r0:(hi - 1) // p - r0 + 1]]
                 if inv is not None:
                     out = out.take(inv, axis=1)  # out[:, inv] took twice as long
@@ -243,37 +257,25 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
 
             return read
 
-        readers = [sep and tabled(*sep) for sep, _, _ in forms]
         blocks = [[] for _ in forms]
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            coords = _coords(grid, pts, lo, hi) if need_coords else None
-            try:
-                if target is None:
-                    fv = np.asarray(f(coords), dtype=float)
-                    if fv.shape != (hi - lo,):
-                        raise ShapeError("target must map (k, d) points to (k,) values")
-                else:
-                    if lo == start:  # tabled here, so a target that raises fails every network
-                        target_read = tabled(*target)
-                    fv = target_read(lo, hi)
-            except Exception as e:  # the fold fails every network still measured
-                return blocks, e
-            for (_, outer, net), read, pairs in zip(forms, readers, blocks):
-                if pairs and not math.isfinite(pairs[-1][0]):
-                    continue  # failed: the fold reports it
-                if net is not None:
-                    nv = evaluate_batch(net, coords)
-                elif read is None:
-                    nv = np.interp(coords[:, 0], outer.breaks, outer.values)
-                else:
-                    nv = read(lo, hi)
-                # every nv is a fresh array: the errors overwrite it
-                err = np.subtract(fv, nv, out=nv)
-                np.abs(err, out=err)
-                top = float(np.max(err))
-                err *= weight
-                pairs.append((top, float(np.sum(err))))
+        try:  # the readers are made in here, so an outer that raises fails every network
+            target_read, *reads = [reader(*form) for form in (target, *forms)]
+            for lo in range(start, stop, _BLOCK):
+                hi = min(lo + _BLOCK, stop)
+                coords = _coords(grid, pts, lo, hi) if need_coords else None
+                fv = target_read(lo, hi, coords)
+                for read, pairs in zip(reads, blocks):
+                    if pairs and not math.isfinite(pairs[-1][0]):
+                        continue  # failed: the fold reports it
+                    # every network read is a fresh array: the errors overwrite it
+                    err = read(lo, hi, coords)
+                    np.subtract(fv, err, out=err)
+                    np.abs(err, out=err)
+                    top = float(np.max(err))
+                    err *= weight
+                    pairs.append((top, float(np.sum(err))))
+        except Exception as e:  # the fold fails every network still measured
+            return blocks, e
         return blocks, None
 
     for blocks, failure in map(chunk, range(0, size, _CHUNK)):
@@ -297,32 +299,29 @@ def grid_errors(f, net: ReluNetwork, grid: GridSpec) -> tuple[float, float]:
     L1 is the midpoint estimate of ``integral |f - net|`` over the cube, each
     point weighted ``p**-d`` (multiplied axis by axis); Linf is the max over
     the grid points, a lower bound on the true sup.  A NaN or infinite error
-    anywhere raises ``ValueError``.
+    anywhere raises ``ValueError``.  This is ``_grid_metrics`` on one network.
 
-    The network is compiled once (see ``_compile``).  The grid is walked in
-    C order in blocks of ``_BLOCK`` points (see ``_coords``), each reduced as
-    soon as it is evaluated, while its values are in cache.  For d > 1 a
-    point's table sum is its row's leading sum (``_row_sums``) plus its
-    last-axis table entry, the same operands added in the same order.  The
-    pass takes the distinct last-axis entries once, and each ``_CHUNK``
-    evaluates ``outer`` once per distinct leading sum of its rows and
-    distinct last-axis entry (at most ``_CHUNK / p + 2`` rows by p columns;
-    the psi encoder sorts each coordinate into a few cells, so both repeat).
-    Each block gathers its rows of that table, then its columns; where the
-    chunk's rows repeat, its table gathers the columns once instead.  ``np.unique`` merges -0.0 with
-    +0.0, but no leading sum is -0.0, so every sum keeps its bits.  A d = 1
-    block goes through ``np.interp`` directly, and a network without a
-    finite compiled form through ``evaluate_batch``.
-
-    The target is called once per block on its ``(k, d)`` points, except a
-    ``holder_family("cone", d, ...)`` target (or its ``.f``) on a d > 1 grid:
-    its axis function is tabled once per pass, and its outer function is
-    tabled per chunk as a network's ``outer`` is, on the same operands as
-    the per-point call, elementwise.  Its axis function is symmetric about
-    0.5, so its last-axis entries repeat on every grid.  Any other callable
-    keeps the per-point path; a ``functools.wraps`` wrapper of the cone's
-    ``f`` copies its form and takes the table path.  This is
-    ``_grid_metrics`` on one network.
+    The grid is walked in C order in blocks of ``_BLOCK`` points (see
+    ``_coords``), each reduced as soon as it is read, while its values are in
+    cache.  The target and the network each have one reader per ``_CHUNK``:
+    - per point, the function on the block's ``(k, d)`` points: any target
+      but the cone below; a d = 1 network's compiled CPL (see ``_compile``)
+      through ``np.interp``; a network with no finite compiled form through
+      ``evaluate_batch``;
+    - tabled, a d > 1 network's compiled ``outer``, and on a d > 1 grid that
+      of a ``holder_family("cone", d, ...)`` target, its ``.f`` or a
+      ``functools.wraps`` wrapper of it (which copies its form), whose axis
+      function is tabled once per pass.  A point's table sum is its row's
+      leading sum (``_row_sums``) plus its last-axis entry, the per-point
+      operands added in the same order.  The chunk applies the elementwise
+      ``outer`` to each distinct leading sum of its rows plus each distinct
+      last-axis entry (at most ``_CHUNK / p + 2`` rows by p columns; both
+      repeat, as the psi encoder sorts each coordinate into a few cells and
+      the cone's axis function is symmetric about 0.5).  Each block gathers
+      its rows of that table, then its columns; where the chunk's rows
+      repeat, its table gathers the columns once instead.  ``np.unique``
+      merges -0.0 with +0.0, but no leading sum is -0.0, so every sum keeps
+      its bits.
     """
     result = _grid_metrics(f, [net], grid)[0]
     if isinstance(result, Exception):

@@ -914,6 +914,30 @@ class TestConeTable:
         got = metrics._grid_metrics(t, [build_dd(cone(2), 4).net, zero_net(2)], GridSpec(2, 64))
         assert [(type(e), str(e)) for e in got] == [(FloatingPointError, "outer failed")] * 2
 
+    def test_outer_that_raises_on_a_later_chunk_fails_every_network(self):
+        t, grid = cone(2), GridSpec(2, 600)
+        assert -(-grid.total_points // metrics._CHUNK) == 2
+        dim, axis, outer = t.f._axis_form
+        failed = []
+
+        def failing_far_out(s):
+            # the second chunk's rows all lie more than 0.2 from the centre,
+            # so its table's smallest squared distance exceeds 0.04; the
+            # first chunk's rows include the centre row
+            failed.append(bool(s.min() > 0.04))
+            if failed[-1]:
+                raise FloatingPointError("outer failed")
+            return outer(s)
+
+        t.f._axis_form = (dim, axis, failing_far_out)
+        nets = [build_dd(cone(2), 4).net, zero_net(2), rank1_net(np.random.default_rng(6), 2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for chunk_map in (map, pool.map):
+                failed.clear()
+                got = metrics._grid_metrics(t, nets, grid, chunk_map)
+                assert sorted(failed) == [False, True]
+                assert [(type(e), str(e)) for e in got] == [(FloatingPointError, "outer failed")] * 3
+
     def test_cone_of_another_dimension_rejected(self):
         with pytest.raises(ShapeError, match="d = 3 cone"):
             grid_errors(cone(3), build_dd(cone(2), 4).net, GridSpec(2, 64))

@@ -175,6 +175,19 @@ class TestTheoremDD:
         err = l1_error(tgt, c.net, GridSpec(3, 64))
         assert err <= c.bound
 
+    @pytest.mark.parametrize("d,big_n", [(2, 9), (3, 8)])  # paper mode does not clamp here
+    def test_interpolant_compiled_only_when_measured(self, d, big_n, monkeypatch):
+        # paper mode never measures h1_error, so it compiles nothing; empirical
+        # mode compiles the interpolant once, however many deltas it tries
+        calls, compile_cpl = [], construct.net_to_cpl_exact
+        monkeypatch.setattr(construct, "net_to_cpl_exact",
+                            lambda *args: calls.append(args) or compile_cpl(*args))
+        tgt = holder_family("cone", d, 0.5, 1.0)
+        build_dd(tgt, big_n, DeltaPolicy(mode=PAPER_SUFFICIENT))
+        assert calls == []
+        assert build_dd(tgt, big_n).delta.iterations > 1
+        assert len(calls) == 1
+
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGridError):
             build_dd(holder_family("cone", 2, 1.0, 1.0), 1).net
