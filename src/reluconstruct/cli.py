@@ -171,6 +171,9 @@ def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     target, policy, grid = _inputs(args)
+    for path in (args.out, args.summary):
+        if path:
+            _check_writable(path)
 
     def build(big_n: int) -> Construction | Exception:
         try:
@@ -368,6 +371,8 @@ def cmd_check(args) -> int:
     for name in names:
         if name not in _SUITES:
             raise RegistryError(f"unknown suite {name!r} (have {sorted(_SUITES)})")
+    if args.out:
+        _check_writable(args.out)
     root = ET.Element("testsuites")
     any_failed = False
     for name in names:

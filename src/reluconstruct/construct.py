@@ -386,8 +386,9 @@ class HolderTarget:
     """A target function with its (alpha, nu) smoothness certificate.
 
     ``f`` maps an (k, d) array of points in the unit cube to a (k,) array of
-    values.  The certificate is caller-supplied and only spot-checked; it is
-    frozen, so the bound a construction reports is the one it was built for.
+    values; a call raises :class:`ShapeError` on any other shape.  The
+    certificate is caller-supplied and only spot-checked; it is frozen, so
+    the bound a construction reports is the one it was built for.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -403,13 +404,20 @@ class HolderTarget:
             raise CertificateError("nu must be positive and finite")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.f(np.asarray(points, dtype=float)), dtype=float)
-        return out
+        return _target_values(self.f, np.asarray(points, dtype=float))
 
     @functools.cached_property
     def _spot_ratio(self) -> float:
         # the fields are frozen: one spot check serves every build of this target
         return spot_check_holder(self)
+
+
+def _target_values(f, points: np.ndarray) -> np.ndarray:
+    """``f(points)`` as floats, refused unless the ``(k, d)`` points give ``(k,)`` values."""
+    fv = np.asarray(f(points), dtype=float)
+    if fv.shape != (len(points),):
+        raise ShapeError("target must map (k, d) points to (k,) values")
+    return fv
 
 
 def spot_check_holder(target: HolderTarget) -> float:

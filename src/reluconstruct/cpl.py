@@ -39,10 +39,11 @@ __all__ = [
     "cpl_from_json",
 ]
 
-# CplFunction and SampleSet reject break points this close.  A compile or a
-# merge that produces closer ones on [a, b] thins them with _thin_breaks at
-# this gap times max(1, |a|, |b|): both ends stay, and an interior point stays
-# only when it lies more than the gap beyond the last point kept and before b.
+# CplFunction and SampleSet reject break points this close.  A compile, a
+# probe or a merge that produces closer ones on [a, b] thins them with
+# _thin_breaks at this gap times max(1, |a|, |b|): both ends stay, and an
+# interior point stays only when it lies more than the gap beyond the last
+# point kept and before b.
 MIN_BREAK_GAP = 1e-13
 
 # relative slope change between adjacent probe segments that flags a kink
@@ -144,14 +145,10 @@ def eval_cpl(f: CplFunction, x):
     xv = np.atleast_1d(x)
     y = np.interp(xv, f.breaks, f.values)
     b, v = f.breaks, f.values
-    left = xv < b[0]
-    if left.any():
-        s = (v[1] - v[0]) / (b[1] - b[0])
-        y[left] = v[0] + s * (xv[left] - b[0])
-    right = xv > b[-1]
-    if right.any():
-        s = (v[-1] - v[-2]) / (b[-1] - b[-2])
-        y[right] = v[-1] + s * (xv[right] - b[-1])
+    for i, j, out in ((0, 1, xv < b[0]), (-1, -2, xv > b[-1])):
+        if out.any():
+            s = (v[j] - v[i]) / (b[j] - b[i])
+            y[out] = v[i] + s * (xv[out] - b[i])
     return float(y[0]) if scalar else y
 
 
@@ -255,7 +252,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     Each maximal run of flagged probe segments is resolved by intersecting
     the pure line left of the run with the pure line right of it, which
     pins the kink to machine precision when the probe spacing keeps one
-    kink per run.
+    kink per run.  The kinks and both probe ends go through ``_thin_breaks``.
     """
     probes = np.unique(np.asarray(probes, dtype=float))
     # merged probe sets can carry near-coincident points whose secants are
@@ -287,17 +284,8 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     several = np.repeat(~single, b_i - a_i + 1)
     kinks = np.concatenate((np.minimum(np.maximum(x_star, xa), xb), probes[idx[several] + 1]))
 
-    a, b = probes[0], probes[-1]
-    if kinks.size:
-        kinks = np.unique(kinks)
-        gap = MIN_BREAK_GAP * max(1.0, abs(a), abs(b)) * 10
-        keep = [kinks[0]] if kinks[0] > a + gap else []
-        for k in kinks[1:]:
-            if (not keep or k - keep[-1] > gap) and k < b - gap:
-                keep.append(k)
-        breaks = np.concatenate(([a], keep, [b])) if keep else np.array([a, b])
-    else:
-        breaks = np.array([a, b])
+    pts = np.unique(np.concatenate((probes[[0, -1]], kinks)))
+    breaks = pts[_thin_breaks(pts)]
     return CplFunction(_freeze(breaks), _freeze(evaluate_batch(net, breaks)))
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import HolderTarget
+from .construct import HolderTarget, _target_values
 from .cpl import net_to_cpl_exact
 from .errors import CertificateError, RegistryError, ResourceError, ShapeError, _integer
 from .network import ReluNetwork, evaluate_batch
@@ -219,13 +220,7 @@ def _grid_metrics(f, nets, grid: GridSpec, map=map) -> list:
     pts = None if d == 1 else (np.arange(p) + 0.5) / p
     forms = list(map(lambda i: _network_form(nets[i], pts), live))
 
-    def checked(points):  # the target on a block's points
-        fv = np.asarray(f(points), dtype=float)
-        if fv.shape != (len(points),):
-            raise ShapeError("target must map (k, d) points to (k,) values")
-        return fv
-
-    target = checked, None
+    target = functools.partial(_target_values, f), None
     form = getattr(f.f if isinstance(f, HolderTarget) else f, "_axis_form", None)
     if d > 1 and form is not None and form[0] == d:
         target = _separable(form[2], [form[1](pts)] * d)

@@ -546,6 +546,22 @@ class TestUsageErrors:
         assert builds == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--N", "2", "3", "4", "--out", "{missing}/s.csv"],
+        ["sweep", "--N", "2", "3", "4", "--out", "{dir}/s.csv", "--summary", "{missing}/s.json"],
+        ["check", "--suite", "bounds", "--out", "{missing}/r.xml"],
+    ], ids=["sweep-out", "sweep-summary", "check-out"])
+    def test_output_directory_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        calls = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: calls.append(a))
+        monkeypatch.setitem(cli._SUITES, "bounds", lambda *a: calls.append(a) or [])
+        argv = [a.format(dir=tmp_path, missing=tmp_path / "missing-dir") for a in argv]
+        assert exit_code(argv) == 2
+        assert "missing-dir" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
         builds = []
         monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))

@@ -18,6 +18,7 @@ from reluconstruct import (
     build_1d,
     build_dd,
     choose_delta,
+    corollary32_check,
     cpl_from_net_1d,
     cpl_sup,
     eval_cpl,
@@ -58,9 +59,18 @@ class TestEvalCpl:
         assert eval_cpl(f, 0.75) == pytest.approx(0.5)
 
     def test_end_segment_extrapolation(self):
-        f = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        assert eval_cpl(f, -0.5) == pytest.approx(-1.0)
-        assert eval_cpl(f, 1.5) == pytest.approx(-1.0)
+        hat = ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+        # left of, right of and on both end breaks; a two-break CPL is one
+        # segment extended both ways with the same slope
+        for (breaks, values), x, want in [
+            (hat, -0.5, -1.0), (hat, 1.5, -1.0), (hat, 0.0, 0.0), (hat, 1.0, 0.0),
+            (hat, [-0.5, 0.0, 0.25, 1.0, 1.5], [-1.0, 0.0, 0.5, 0.0, -1.0]),
+            (([1.0, 3.0], [2.0, -2.0]), -1.0, 6.0),
+            (([1.0, 3.0], [2.0, -2.0]), [0.0, 1.0, 2.0, 3.0, 4.0], [4.0, 2.0, 0.0, -2.0, -4.0]),
+        ]:
+            got = eval_cpl(CplFunction(breaks, values), x)
+            assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+            assert np.array_equal(got, want), (breaks, x)
 
     def test_agrees_with_interpolant_network(self):
         rng = np.random.default_rng(21)
@@ -248,6 +258,42 @@ class TestCplFromNet:
         net = lemma1_interpolant(SampleSet([0.0, 1.0], [0.0, 0.0]))
         with pytest.raises(ValueError, match="probe_count"):
             cpl_from_net_1d(net, 0.0, 1.0, count)
+
+    @pytest.mark.parametrize("source", ["lemma1", "closure"])
+    def test_breaks_are_a_fixed_point_of_the_thinning(self, source):
+        # the kinks and both ends go through _thin_breaks: thinning again drops none
+        rng = np.random.default_rng(44)
+        nets = []
+        if source == "lemma1":
+            for _ in range(30):
+                xs = np.sort(rng.uniform(-0.5, 1.5, int(rng.integers(2, 40))))
+                nets.append(lemma1_interpolant(SampleSet(xs, rng.uniform(-3.0, 3.0, xs.size))))
+        else:
+            for m, n in [(2, 2), (3, 4), (4, 4)]:
+                inner = np.sort(rng.uniform(0.05, 0.95, m * n))
+                g = CplFunction(np.concatenate(([0.0], inner, [1.0])),
+                                rng.uniform(-1.0, 1.0, inner.size + 2))
+                nets.append(corollary32_check(g, m, n, 1e-3)[0])
+        for net in nets:
+            for count in (3, 50, 2001):
+                f = cpl_from_net_1d(net, 0.0, 1.0, count)
+                assert _thin_breaks(f.breaks).all()
+                assert f.breaks[0] == 0.0 and f.breaks[-1] == 1.0
+
+    def test_explicit_probes_thin_kinks_at_the_break_gap(self):
+        # on [100, 101] the gap is 1.01e-11 and probes 2e-12 apart survive
+        # de-duplication: a kink within the gap of the left end is dropped,
+        # and two kinks three gaps apart are both kept
+        kinks = np.array([100.0 + 7e-12, 100.5 + 1e-12, 100.5 + 31e-12])
+        net = ReluNetwork(1, ((np.ones((3, 1)), -kinks),
+                              (np.array([[1e-3, 2e-3, -3e-3]]), np.zeros(1))))
+        probes = np.concatenate((np.linspace(100.0, 101.0, 2001),
+                                 100.0 + np.arange(1, 40) * 2e-12,
+                                 100.5 + np.arange(-20, 40) * 2e-12))
+        f = cpl._extract_cpl(net, probes)
+        assert f.breaks[[0, -1]].tolist() == [100.0, 101.0]
+        np.testing.assert_allclose(f.breaks[1:-1], kinks[1:], rtol=0, atol=1e-13)
+        assert _thin_breaks(f.breaks).all()
 
     def test_numpy_integer_probe_count(self):
         net = lemma1_interpolant(SampleSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))

@@ -537,6 +537,10 @@ def test_certificate_spot_checked_once_per_target(monkeypatch):
 _CONE_1D = holder_family("cone", 1, 1.0, 1.0)
 _CONE_2D = holder_family("cone", 2, 1.0, 1.0)
 _HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+# right values in a (k, 1) column: every call of a target refuses them
+_COLUMN_1D = HolderTarget(f=lambda pts: _CONE_1D(pts)[:, None], d=1, alpha=1.0, nu=1.0)
+_COLUMN_2D = HolderTarget(f=lambda pts: _CONE_2D(pts)[:, None], d=2, alpha=1.0, nu=1.0)
+_COLUMN = r"target must map \(k, d\) points to \(k,\) values"
 
 
 @pytest.mark.parametrize(
@@ -553,6 +557,9 @@ _HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
            ValueError, "min_gap") for gap in (math.inf, math.nan, 0.0, -1.0)],
         (lambda: HolderTarget(f=lambda pts: pts[:, 0], d=0, alpha=1.0, nu=1.0),
          ShapeError, "d must be"),
+        (lambda: build_1d(_COLUMN_1D, 4), ShapeError, _COLUMN),
+        (lambda: build_dd(_COLUMN_2D, 4), ShapeError, _COLUMN),
+        (lambda: construct.spot_check_holder(_COLUMN_1D), ShapeError, _COLUMN),
         (lambda: build_1d(_CONE_1D, 0), ValueError, "N must be"),
         (lambda: build_dd(_CONE_2D, 0), ValueError, "N must be"),
         (lambda: psi0(0, 0.1), ValueError, "n must be"),
@@ -566,7 +573,9 @@ _HAT = CplFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     ],
     ids=["delta-mode", "paper-without-denominator", "empirical-without-h-error",
          "min-gap-inf", "min-gap-nan", "min-gap-0", "min-gap-negative",
-         "holder-d0", "build_1d-N0", "build_dd-N0", "psi0-n0", "psi-projection-d0",
+         "holder-d0", "build_1d-column-target", "build_dd-column-target",
+         "spot-check-column-target", "build_1d-N0", "build_dd-N0", "psi0-n0",
+         "psi-projection-d0",
          "closure-m0", "closure-n0",
          "closure-eps0", "closure-eps-negative", "closure-eps-nan", "closure-eps-inf"],
 )
