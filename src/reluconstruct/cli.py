@@ -39,7 +39,7 @@ from .construct import (
     lemma2_interpolant,
     lemma2_sup_bound,
 )
-from .cpl import CplFunction, SampleSet, cpl_from_net_1d, lemma1_interpolant
+from .cpl import CplFunction, SampleSet, lemma1_interpolant, net_to_cpl_exact
 from .costmodel import ArchSpec, CostParams, COST_COLUMNS, dist_time, regime_table, shared_time
 from .errors import ConstructionInfeasibleError, RegistryError, ShapeError
 # linf_error is unused here but stays importable as a name a tracer patches
@@ -185,10 +185,13 @@ def cmd_sweep(args) -> int:
     # its compile in the pass, a sweep's largest transient, before theirs
     ns = sorted(set(args.N), reverse=True)
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        built = dict(zip(ns, pool.map(build, ns)))
+        # one worker is the calling thread; the pool, which starts a thread
+        # only when it is given work, runs two or more
+        run = map if args.threads == 1 else pool.map
+        built = dict(zip(ns, run(build, ns)))
         ok = [n for n in ns if not isinstance(built[n], Exception)]
-        # one pass over the grid measures every network, its chunks spread over the pool
-        measured = dict(zip(ok, _grid_metrics(target, [built[n].net for n in ok], grid, pool.map)))
+        # one pass over the grid measures every network, its chunks spread over the workers
+        measured = dict(zip(ok, _grid_metrics(target, [built[n].net for n in ok], grid, run)))
     rows, failures, fit_pairs = [], {}, []
     for big_n in reversed(ns):
         c = built[big_n]
@@ -254,8 +257,8 @@ def _suite_lemma1(seed: int, m: int, n: int):
         worst = max(worst, float(np.max(np.abs(evaluate_batch(net, xs) - ys))))
     out.append(("node-exactness", worst <= 1e-9, f"max node error {worst:.2e}"))
     net = lemma1_interpolant(SampleSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
-    rec = cpl_from_net_1d(net, 0.0, 1.0, 2001)
-    found = any(abs(b - 0.5) < 1e-6 for b in rec.breaks)
+    rec = net_to_cpl_exact(net, 0.0, 1.0)
+    found = 0.5 in rec.breaks
     out.append(("break-recovery", found, f"recovered breaks {rec.breaks.tolist()}"))
     return out
 
@@ -517,6 +520,8 @@ def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag not in flags:
             raise ValueError(f"config key {key!r} is not a flag of {command}")
+        if flag == "--config":  # its file would never be read
+            raise ValueError(f"config key {key!r} cannot name a second config file")
         if value is not None:
             tokens.append(flag)
             tokens.extend(map(str, value if isinstance(value, list) else [value]))
