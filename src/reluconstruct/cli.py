@@ -522,6 +522,8 @@ def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             raise ValueError(f"config key {key!r} is not a flag of {command}")
         if flag == "--config":  # its file would never be read
             raise ValueError(f"config key {key!r} cannot name a second config file")
+        if flag == "--help":  # it would print the help and exit 0 whatever its value
+            raise ValueError(f"config key {key!r} is not a setting")
         if value is not None:
             tokens.append(flag)
             tokens.extend(map(str, value if isinstance(value, list) else [value]))

@@ -176,7 +176,9 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     checked once per call) a stage k > 0 skips the no-op clip and takes three
     passes: multiply, add, and subtract the line.  Stage 0, ``residuals=True``
     and other grids clip.  Stage k leaves row k as it read it, so the sign
-    classes and the pieces' break-point values are filled after the loop.
+    classes and the pieces' break-point values are filled after the loop,
+    which frees the stage buffers and fits the second layer 32 stages at a
+    time: no array of the second layer's size exists but its weights.
 
     Returns ``(network, trace)``; the trace holds the n + 2 grid-size
     residual vectors only with ``residuals=True``.
@@ -184,18 +186,17 @@ def lemma2_interpolant(plan: Lemma2Plan, residuals: bool = False):
     m, n = plan.m, plan.n
     bx = plan.samples.xs[plan.break_indices]
     trace = ResidualTrace()
-    # the stage buffers are gone before the fit allocates its output
-    g_break = _lemma2_stages(plan, residuals, trace)
+    second = _lemma2_stages(plan, bx, residuals, trace)
     w3 = np.ones((1, 2 * n + 1))
     w3[0, 2::2] = -1.0
-    layers = ((np.ones((2 * m, 1)), -bx[:-1]), _fit_one_layer_row(bx, g_break),
-              (w3, np.zeros(1)))
+    layers = ((np.ones((2 * m, 1)), -bx[:-1]), second, (w3, np.zeros(1)))
     return ReluNetwork(1, layers), trace
 
 
-def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> np.ndarray:
-    """Break-point values of the second layer: row 0 the sample CPL, rows 2k-1 and 2k
-    stage k's plus and minus pieces.  Fills the trace."""
+def _lemma2_stages(plan: Lemma2Plan, bx: np.ndarray, residuals: bool,
+                   trace: ResidualTrace) -> tuple:
+    """The second layer's weights and bias: row 0 fits the sample CPL at the break
+    points ``bx``, rows 2k-1 and 2k stage k's plus and minus pieces.  Fills the trace."""
     m, n = plan.m, plan.n
     xs, ys = plan.samples.xs, plan.samples.ys
     snap = RESIDUAL_SNAP * max(1.0, float(np.abs(ys).max()))
@@ -206,10 +207,9 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
     f = ys[:-1].reshape(m, n + 1).T.copy()
     tail = ys[-1:].copy()
     line = np.empty_like(f)
-    # for stage k, row k-1: x_k - x_{k-1}, and the block ends x_{j(n+1)} and
-    # x_{j(n+1)+n} (the break points 2j and 2j+1) less x_{k-1}
+    # for stage k, row k-1: x_k - x_{k-1}; the block ends x_{j(n+1)} and
+    # x_{j(n+1)+n} (the break points 2j and 2j+1) are rows 0 and n of xb
     dx = xb[1:] - xb[:-1]
-    from_prev = np.stack((xb[0] - xb[:-1], xb[n] - xb[:-1]), axis=-1)
 
     def record():
         r = np.empty(xs.size)
@@ -257,8 +257,8 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
         s = v / dx[k - 1]
         s[snapped] = 0.0
         # ties (residual exactly zero) go to the plus class
-        subtract(0 if residuals else k + 1, s * from_prev[k - 1, :, 0],
-                 s * from_prev[k - 1, :, 1], (v >= 0) | snapped if clip else None)
+        subtract(0 if residuals else k + 1, s * (xb[0] - xb[k - 1]),
+                 s * (xb[n] - xb[k - 1]), (v >= 0) | snapped if clip else None)
         if residuals:
             # a stage is ``f - gp + gm``: its last step adds 0.0, which turns
             # a -0 into +0.  A zero's sign changes no nonzero value of a
@@ -267,14 +267,27 @@ def _lemma2_stages(plan: Lemma2Plan, residuals: bool, trace: ResidualTrace) -> n
 
     snapped = np.abs(vals) <= snap
     plus = trace.plus = (vals >= 0) | snapped
-    ends = (np.abs(vals) / dx)[..., None] * from_prev
-    g_break = np.zeros((2 * n + 1, 2 * m + 1))
-    g_break[0] = ys[plan.break_indices]
-    # [k-1, 0] and [k-1, 1] are rows 2k-1 and 2k, each with its (m, 2) block ends
-    pieces = g_break[1:].reshape(n, 2, 2 * m + 1)[..., :-1].reshape(n, 2, m, 2)
-    np.copyto(pieces[:, 0], ends, where=(plus & ~snapped)[..., None])
-    np.copyto(pieces[:, 1], ends, where=~plus[..., None])
-    return g_break
+    # each piece's slope |v| / dx, in dx's place.  The stage buffers go before
+    # the fit allocates its output; the last v, if any, is a view of f
+    slope = np.divide(np.abs(vals), dx, out=dx)
+    t = line = f = v = vals = None
+    weights, bias = np.empty((2 * n + 1, 2 * m)), np.empty(2 * n + 1)
+    weights[0], bias[0] = _fit_one_layer_row(bx, ys[plan.break_indices])
+    # 32 stages, 64 rows, at a time: the pieces' break-point values exist only
+    # for the block being fitted.  g_break[i, 0] and [i, 1] are stage lo+i+1's
+    # plus and minus pieces, each with its (m, 2) block ends and a 0 last
+    for lo in range(0, n, 32):
+        k = slice(lo, min(lo + 32, n))
+        g_break = np.zeros((k.stop - lo, 2, 2 * m + 1))
+        pieces = g_break[..., :-1].reshape(-1, 2, m, 2)
+        for side, end in enumerate((xb[0], xb[n])):
+            ends = slope[k] * (end - xb[k])
+            # a snapped stage's pieces are both 0
+            np.copyto(pieces[:, 0, :, side], ends, where=plus[k] & ~snapped[k])
+            np.copyto(pieces[:, 1, :, side], ends, where=~plus[k])
+        rows = slice(1 + 2 * lo, 1 + 2 * k.stop)
+        weights[rows], bias[rows] = _fit_one_layer_row(bx, g_break.reshape(-1, 2 * m + 1))
+    return _freeze(weights), _freeze(bias)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ the breaks of the layers before it, ``_activations``).  Where the layers
 before the last hidden one are linear, the output's kinks are that layer's
 zero crossings; one pass, ``_last_layer``, finds them and the values there
 by accumulating slope jumps.  The exact compile runs it on the
-segments its earlier layers build, and ``_sliver_l1`` on many intervals
-free of first-layer kinks at once, to integrate a two-hidden-layer network
-against a secant with no CPL view.  Both take ``SEGMENT_BLOCK`` segments at
-a time.
+segments its earlier layers build, ``SEGMENT_BLOCK`` at a time, and
+``_sliver_l1`` on many intervals free of first-layer kinks at once,
+``SLIVER_BLOCK`` at a time, to integrate a two-hidden-layer network against
+a secant with no CPL view.
 """
 
 from __future__ import annotations
@@ -49,9 +49,16 @@ MIN_BREAK_GAP = 1e-13
 # relative slope change between adjacent probe segments that flags a kink
 SLOPE_TOL = 1e-6
 
-# segments per pass of _last_layer: at N = 256 a pass holds a few
-# (2N+1) x SEGMENT_BLOCK arrays, under the lemma-2 fit's own working set
+# segments per pass of _last_layer in the exact compile: at N = 256 a pass
+# holds a few (2N+1) x SEGMENT_BLOCK arrays, about 0.25 MiB each.  Blocks
+# scaled to 2^14 // width move build_1d N = 64..256's compiled CPL
 SEGMENT_BLOCK = 64
+
+# intervals per pass of _last_layer in _sliver_l1: at N = 256 the pass peaks
+# at 1.6 MiB traced, under the 4.1 MiB of the lemma-2 fit it measures.  Blocks
+# of 16, 32 and 64 give the same bits when every block is full; a partial
+# last block can move a value by up to 3e-15 (build_1d, N = 2..256)
+SLIVER_BLOCK = 32
 
 
 def _interval(a, b) -> tuple[float, float]:
@@ -400,7 +407,7 @@ def _sliver_l1(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
     to ``(hi_j, yhi_j)``.  So ``_last_layer`` gives the distance to the
     secant at the network's kinks, and each piece between them is integrated
     like :func:`exact_l1_cpl`: one matrix product per layer and a sort, not
-    a compile per interval, ``SEGMENT_BLOCK`` intervals at a time.
+    a compile per interval, ``SLIVER_BLOCK`` intervals at a time.
     """
     if net.input_dim != 1 or len(net.layers) != 3:
         raise ShapeError("_sliver_l1 needs a [1, a, b, 1] network")
@@ -409,8 +416,8 @@ def _sliver_l1(net: ReluNetwork, lo, hi, ylo, yhi) -> np.ndarray:
         raise ValueError("every interval must satisfy lo < hi")
     (w1, b1), (w2, b2), (w3, b3) = net.layers
     out = np.empty(lo.size)
-    for i in range(0, lo.size, SEGMENT_BLOCK):
-        j = slice(i, i + SEGMENT_BLOCK)
+    for i in range(0, lo.size, SLIVER_BLOCK):
+        j = slice(i, i + SLIVER_BLOCK)
         k = lo[j].size
         z = w1 @ np.concatenate((lo[j], hi[j]))[None, :] + b1[:, None]
         if np.any(z[:, :k] * z[:, k:] < 0):

@@ -7,7 +7,7 @@ network, so instances are safe to share across threads.  A read-only weight
 array that owns its memory is shared rather than copied: ``compose``,
 ``affine_post`` and the lemma-2 fit hand their frozen layers on, so a layer
 common to several networks exists once.  ``evaluate_batch`` walks its
-points in fixed row blocks, so its working memory is two 2 MiB buffers plus
+points in fixed row blocks, so its working memory is two 1 MiB buffers plus
 the result, however many points and layers it is given.
 """
 
@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 
-# activation entries per block of evaluate_batch: 2 MiB of f64, one core's L2
-_EVAL_BLOCK = 2**18
+# activation entries per block of evaluate_batch: 1 MiB of f64, so its two
+# buffers together fill one core's 2 MiB L2
+_EVAL_BLOCK = 2**17
 
 
 def _frozen_array(a):
@@ -106,13 +107,13 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
     Rows go through the network in blocks of ``max(1, _EVAL_BLOCK // widest)``.
     The hidden layers write into two buffers of ``_EVAL_BLOCK`` entries in
     turn, allocated once per call, so besides ``xs`` and the result a call
-    holds at most 4 MiB of activations, whatever ``k`` and the depth are.
+    holds at most 2 MiB of activations, whatever ``k`` and the depth are.
     Rows that fit in one block give exactly the out-of-place chain
     ``max(0, h @ W.T + b)``.  Over several blocks BLAS can pick other
-    kernels for some rows: 5 of ``build_1d`` N = 256's 65,793 grid nodes
-    moved, by at most 2.6e-12.  The tests hold blocked and single products
-    to 1e-11 absolute, the absolute tolerance of the benchmark's reference
-    outputs.
+    kernels for some rows: 6 of ``build_1d`` N = 256's 65,793 grid nodes
+    moved, by at most 3.2e-12, in blocks of 255 rows.  The tests hold
+    blocked and single products to 1e-11 absolute, the absolute tolerance of
+    the benchmark's reference outputs.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:

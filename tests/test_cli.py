@@ -761,6 +761,23 @@ class TestConfigFile:
         assert builds == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "main.json"]
 
+    @pytest.mark.parametrize("command, doc", [
+        (["sweep", "--out", "{dir}/s.csv"], {"N": [2, 3, 4]}),
+        (["construct", "--out", "{dir}/net.json"], {"N": 2}),
+    ], ids=["sweep", "construct"])
+    @pytest.mark.parametrize("value", [False, True, None])
+    def test_help_key(self, tmp_path, capsys, monkeypatch, command, doc, value):
+        # as --help it would print the help and exit 0 with no output written
+        builds = []
+        monkeypatch.setattr(cli, "build_1d", lambda *a: builds.append(a))
+        cfg = self.write(tmp_path, {"help": value, "grid_points": 1000, **doc})
+        argv = [command[0], "--config", cfg] + [a.format(dir=tmp_path) for a in command[1:]]
+        assert exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error: config key 'help'" in err
+        assert builds == []
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_commands_without_a_config_flag(self, tmp_path, capsys):
         cfg = self.write(tmp_path, {"net": "missing.json"})
         assert exit_code(["eval", "--config", cfg]) == 2

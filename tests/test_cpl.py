@@ -822,7 +822,7 @@ def fraction_sliver_l1(net, lo, hi, ylo, yhi):
 class TestSliverL1:
     """The batched sliver measurement of ``build_1d`` against the per-sliver exact compile."""
 
-    # 128 slivers take two blocks of SEGMENT_BLOCK
+    # 128 slivers take four blocks of SLIVER_BLOCK
     @pytest.mark.parametrize("big_n", [2, 8, 64, 128])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_matches_the_per_sliver_compile(self, big_n, alpha):
@@ -858,6 +858,44 @@ class TestSliverL1:
         assert c.delta.delta == choose_delta(policy, min_gap=1.0 / big_n**2,
                                              budget=float(big_n) ** (-2.0 * alpha),
                                              h_error=h0).delta
+
+    @pytest.mark.parametrize("big_n", [64, 128, 256])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_same_bits_at_16_32_and_64_per_block(self, monkeypatch, big_n, alpha):
+        # every block is full at each size; the partial last blocks below can
+        # round otherwise
+        slivers = lifted_slivers(big_n, alpha)
+        for delta in (0.25 / big_n**2, 1e-9):
+            args = slivers(delta)
+            got = set()
+            for block in (16, 32, 64):
+                monkeypatch.setattr(cpl, "SLIVER_BLOCK", block)
+                got.add(_sliver_l1(*args).tobytes())
+            assert len(got) == 1, f"delta {delta}"
+
+    @pytest.mark.parametrize("big_n", [33, 34, 50, 97, 226])
+    def test_partial_last_block_within_rounding(self, monkeypatch, big_n):
+        # N = 33 is 32 + 1 intervals at 32 per block, one block of 33 at 64:
+        # BLAS sums some columns of a narrower product in another order, and
+        # at these N some values move in their last bits (3e-15 at most over
+        # N = 2..256, three alphas and two deltas)
+        args = lifted_slivers(big_n, 0.5)(0.25 / big_n**2)
+        got = {}
+        for block in (32, 64):
+            monkeypatch.setattr(cpl, "SLIVER_BLOCK", block)
+            got[block] = _sliver_l1(*args)
+        np.testing.assert_allclose(got[32], got[64], rtol=0, atol=1e-14)
+
+    def test_memory_at_256(self):
+        # at 64 intervals per block the pass peaked at 3.1 MiB traced
+        args = lifted_slivers(256, 0.5)(0.25 / 256**2)
+        tracemalloc.start()
+        try:
+            _sliver_l1(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_matches_the_per_interval_compile_on_random_networks(self):
         rng = np.random.default_rng(61)

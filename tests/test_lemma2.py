@@ -1,5 +1,8 @@
 """The two-hidden-layer interpolant: exactness, linearity, sup bound, residuals."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -532,6 +535,41 @@ def test_grid_that_fails_the_check_records_five_pass_residuals():
     rng = np.random.default_rng(52)
     plan = Lemma2Plan(2, n, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), 2, n))
     assert_matches_five_pass(plan, residuals=True)
+
+
+# SHA-256 of serialize() on the seeded plans build_random(default_rng(1000 m + n), m, n),
+# recorded while the second layer was still fitted from one whole break-value matrix
+PINNED_PLANS = {
+    (3, 40): "fe17e4c113808521f3b83564d9f950954a5cb4ddb617b5efbc917cd4d69dbafb",
+    (40, 3): "14d30bae2256f1866adeb5d77a51071e9cb6e6772b21be1b9467f4b3e5d2c7d2",
+    (64, 64): "7c1adcf5331846361395e614ccd51b0b4559274aad59dd709c941bd394f9a502",
+}
+
+
+class TestSecondLayerByBlocks:
+    """The second layer is fitted 32 stages at a time, in bounded memory, to the same bytes."""
+
+    @pytest.mark.parametrize("residuals", [False, True])
+    @pytest.mark.parametrize("m,n", sorted(PINNED_PLANS))
+    def test_pinned_bytes(self, m, n, residuals):
+        net = build_random(np.random.default_rng(m * 1000 + n), m, n, residuals=residuals)[2]
+        assert hashlib.sha256(serialize(net)).hexdigest() == PINNED_PLANS[m, n]
+
+    def test_memory_at_256(self):
+        # the whole (513 x 513) break-value matrix, its np.diff copy and the
+        # (256, 256, 2) block ends took the traced peak to 6.8 MiB; the
+        # output's weights alone are 2.0 MiB
+        rng = np.random.default_rng(256)
+        xs = bounded_grid(rng, 256 * 257 + 1)
+        plan = Lemma2Plan(256, 256, SampleSet(xs, rng.uniform(0.0, 2.0, xs.size), 256, 256))
+        tracemalloc.start()
+        try:
+            net, _ = lemma2_interpolant(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.hidden_widths == [512, 513]
+        assert peak <= 5 * 2**20
 
 
 class TestPreconditions:

@@ -112,8 +112,8 @@ class TestEvaluate:
             assert np.array_equal(xs, before)
 
     def test_several_blocks_agree_with_one_product(self):
-        # build_1d at N = 256 is 513 wide, so its 65,793 grid nodes take 129
-        # blocks of 511 rows; the reference takes them 4096 rows a product.
+        # build_1d at N = 256 is 513 wide, so its 65,793 grid nodes take 259
+        # blocks of 255 rows; the reference takes them 4096 rows a product.
         # BLAS picks its kernels by the row count, so a few values move in
         # their last bits, within the 1e-11 evaluate_batch documents
         c = build_1d(holder_family("cone", 1, 0.5, 1.0), 256)
@@ -143,7 +143,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("rows", [2048, 65536])
     def test_batch_memory_does_not_grow_with_rows(self, rows):
-        # three hidden layers of width 256 share two 2 MiB block buffers;
+        # three hidden layers of width 256 share two 1 MiB block buffers;
         # besides them the output and small temporaries (ufunc buffers, one
         # output column). Two activation matrices took 256 MiB at 65,536 rows
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """Hoelder approximants, the staircase encoder, delta policy, and CPL closure."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -36,6 +37,7 @@ from reluconstruct import (
     net_to_cpl_exact,
     psi0,
     psi_projection,
+    serialize,
 )
 from reluconstruct import construct
 from reluconstruct.cpl import MIN_BREAK_GAP
@@ -105,6 +107,27 @@ class TestTheoremD1:
             assert len(calls) == expected
             if mode == EMPIRICAL_SHRINK and target is not None:
                 assert expected > 1
+
+
+# SHA-256 of serialize(build_1d(cone, alpha = 0.5, N).net), recorded while the
+# lemma-2 fit still built its second layer from one whole break-value matrix
+PINNED_BUILD_1D = {
+    8: "0433125e38543853933d4c1ff0b599d778e774e7cf617c69a49077e242fa837f",
+    64: "1249d76cc8026020e19422def2b8fde37e0dd784c1714a59f9ed2681fd8a4dd6",
+    256: "a966769b11ef19a0e0d60ff5c341394c5048d024d6beadd5d634d1b711deb647",
+}
+
+
+@pytest.mark.parametrize("big_n", sorted(PINNED_BUILD_1D))
+def test_build_1d_pinned_bytes(big_n):
+    # the fit itself is IEEE arithmetic, the same bits everywhere; the cone's
+    # samples come from np.power(., 0.5), which a libm pow can round
+    # differently from the correctly rounded sqrt the hashes were made with
+    target = holder_family("cone", 1, 0.5, 1.0)
+    c = build_1d(target, big_n)
+    if not np.array_equal(target(c.grid[:, None]), np.sqrt(np.abs(c.grid - 0.5))):
+        pytest.skip("np.power(., 0.5) is not correctly rounded on this platform")
+    assert hashlib.sha256(serialize(c.net)).hexdigest() == PINNED_BUILD_1D[big_n]
 
 
 class TestPsi0:
