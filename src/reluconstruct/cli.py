@@ -20,8 +20,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -46,7 +44,7 @@ from .errors import ConstructionInfeasibleError, RegistryError, ShapeError
 # (the benchmark's patches cli.l1_error and cli.linf_error)
 from .metrics import (GridSpec, _grid_metrics, default_grid, holder_family, l1_error, linf_error,
                       rate_fit)
-from .network import deserialize, evaluate_batch, parameter_count, serialize
+from .network import _write_network, deserialize, evaluate_batch, parameter_count
 
 # errors at or below this are treated as exact in rate summaries
 RATE_ERROR_FLOOR = 1e-9
@@ -140,7 +138,7 @@ def cmd_construct(args) -> int:
         raise
     measured = l1_error(target, c.net, grid)
     with open(args.out, "wb") as fh:
-        fh.write(serialize(c.net))
+        _write_network(c.net, fh)
     sidecar = {
         "config": config,
         "version": __version__,
@@ -184,14 +182,21 @@ def cmd_sweep(args) -> int:
     # largest N first: its build runs before the smaller networks exist, and
     # its compile in the pass, a sweep's largest transient, before theirs
     ns = sorted(set(args.N), reverse=True)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        # one worker is the calling thread; the pool, which starts a thread
-        # only when it is given work, runs two or more
-        run = map if args.threads == 1 else pool.map
+
+    def run_all(run):
         built = dict(zip(ns, run(build, ns)))
         ok = [n for n in ns if not isinstance(built[n], Exception)]
         # one pass over the grid measures every network, its chunks spread over the workers
-        measured = dict(zip(ok, _grid_metrics(target, [built[n].net for n in ok], grid, run)))
+        return built, dict(zip(ok, _grid_metrics(target, [built[n].net for n in ok], grid, run)))
+
+    # one worker is the calling thread, with no pool; a pool runs two or more
+    if args.threads == 1:
+        built, measured = run_all(map)
+    else:
+        # imported here: a one-worker sweep never loads the thread-pool module
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            built, measured = run_all(pool.map)
     rows, failures, fit_pairs = [], {}, []
     for big_n in reversed(ns):
         c = built[big_n]
@@ -376,6 +381,9 @@ def cmd_check(args) -> int:
             raise RegistryError(f"unknown suite {name!r} (have {sorted(_SUITES)})")
     if args.out:
         _check_writable(args.out)
+    # imported here: check is the one command that writes XML
+    from xml.etree import ElementTree as ET
+
     root = ET.Element("testsuites")
     any_failed = False
     for name in names:

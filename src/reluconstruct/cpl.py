@@ -199,6 +199,16 @@ def lemma1_interpolant(samples: SampleSet) -> ReluNetwork:
     return ReluNetwork(1, ((w1, b1), _fit_one_layer_row(xs, ys[None, :])))
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` of a finite ``x``: sorted, each entry equal to the one before it dropped.
+
+    The same sort and rule as ``np.unique``, so the same bits, without its
+    masked-array check, which imports ``numpy.ma`` on its first call.
+    """
+    x = np.sort(x, axis=None)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def _thin_breaks(pts: np.ndarray) -> np.ndarray:
     """The mask that thins the sorted distinct ``pts`` from ``a = pts[0]`` to ``b = pts[-1]``.
 
@@ -224,7 +234,7 @@ def _thin_breaks(pts: np.ndarray) -> np.ndarray:
 
 
 def _merged_breaks(f: CplFunction, g: CplFunction, a: float, b: float):
-    pts = np.unique(np.concatenate(([a, b], f.breaks, g.breaks)))
+    pts = _sorted_distinct(np.concatenate(([a, b], f.breaks, g.breaks)))
     pts = pts[(pts >= a) & (pts <= b)]
     return pts[_thin_breaks(pts)]
 
@@ -261,7 +271,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     pins the kink to machine precision when the probe spacing keeps one
     kink per run.  The kinks and both probe ends go through ``_thin_breaks``.
     """
-    probes = np.unique(np.asarray(probes, dtype=float))
+    probes = _sorted_distinct(np.asarray(probes, dtype=float))
     # merged probe sets can carry near-coincident points whose secants are
     # pure rounding noise; keep the first of any such cluster
     span = probes[-1] - probes[0]
@@ -291,7 +301,7 @@ def _extract_cpl(net: ReluNetwork, probes: np.ndarray) -> CplFunction:
     several = np.repeat(~single, b_i - a_i + 1)
     kinks = np.concatenate((np.minimum(np.maximum(x_star, xa), xb), probes[idx[several] + 1]))
 
-    pts = np.unique(np.concatenate((probes[[0, -1]], kinks)))
+    pts = _sorted_distinct(np.concatenate((probes[[0, -1]], kinks)))
     breaks = pts[_thin_breaks(pts)]
     return CplFunction(_freeze(breaks), _freeze(evaluate_batch(net, breaks)))
 
@@ -368,7 +378,7 @@ def _with_crossings(breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
     u, s = np.nonzero((v0 * v1) < 0)
     x0, x1 = breaks[s], breaks[s + 1]
     t = v0[u, s] / (v0[u, s] - v1[u, s])
-    pts = np.unique(np.concatenate((breaks, x0 + t * (x1 - x0))))
+    pts = _sorted_distinct(np.concatenate((breaks, x0 + t * (x1 - x0))))
     return pts[_thin_breaks(pts)]
 
 

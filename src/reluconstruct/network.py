@@ -8,11 +8,15 @@ array that owns its memory is shared rather than copied: ``compose``,
 ``affine_post`` and the lemma-2 fit hand their frozen layers on, so a layer
 common to several networks exists once.  ``evaluate_batch`` walks its
 points in fixed row blocks, so its working memory is two 1 MiB buffers plus
-the result, however many points and layers it is given.
+the result, however many points and layers it is given.  ``serialize``
+and the CLI's ``construct`` share one writer, ``_write_network``, which
+writes the JSON document one weight row at a time, so at most one row
+exists as Python floats and text.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -190,19 +194,33 @@ def affine_post(net: ReluNetwork, scale: float, shift: float) -> ReluNetwork:
     return ReluNetwork(net.input_dim, tuple(layers))
 
 
+def _write_network(net: ReluNetwork, fh):
+    """Write the interchange document of ``net`` to the binary file ``fh``.
+
+    The bytes are ``json.dumps(doc).encode()`` of ``{"input_dim": ...,
+    "layers": [{"weight": [[row], ...], "bias": [...]}, ...]}``, written one
+    weight row per ``json.dumps`` call, so the whole document never exists
+    as Python floats or text at once.
+    """
+    fh.write(b'{"input_dim": %d, "layers": [' % net.input_dim)
+    for i, (w, b) in enumerate(net.layers):
+        fh.write(b', {"weight": [' if i else b'{"weight": [')
+        for j, row in enumerate(w):
+            text = json.dumps(row.tolist())
+            fh.write((", " + text if j else text).encode())
+        fh.write(b'], "bias": %s}' % json.dumps(b.tolist()).encode())
+    fh.write(b"]}")
+
+
 def serialize(net: ReluNetwork) -> bytes:
     """Encode as the JSON interchange document (UTF-8 bytes).
 
     Floats are written with Python's shortest round-trip representation, so
     ``deserialize(serialize(net))`` reproduces every parameter bit-exactly.
     """
-    doc = {
-        "input_dim": net.input_dim,
-        "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()} for w, b in net.layers
-        ],
-    }
-    return json.dumps(doc).encode("utf-8")
+    buf = io.BytesIO()
+    _write_network(net, buf)
+    return buf.getvalue()
 
 
 def deserialize(data) -> ReluNetwork:

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 from xml.etree import ElementTree as ET
 
@@ -522,6 +526,39 @@ class TestCheck:
         suites = ET.parse(report).getroot().findall("testsuite")
         assert len(suites) == 6
         assert all(s.get("failures") == "0" for s in suites)
+
+
+# a sweep, a construct and the exact compile, then the modules they left loaded
+_LOADED_AFTER_WORK = """
+import json, sys
+import numpy
+ma_with_numpy = "numpy.ma" in sys.modules
+from reluconstruct import build_1d, cli, exact_l1_cpl, holder_family, net_to_cpl_exact
+folder = sys.argv[1]
+assert cli.main(["sweep", "--d", "1", "--alpha", "0.5", "--N", "4", "8", "16",
+                 "--grid-points", "2000", "--threads", "1", "--out", folder + "/s.csv"]) == 0
+assert cli.main(["construct", "--d", "1", "--N", "4", "--out", folder + "/n.json"]) == 0
+f = net_to_cpl_exact(build_1d(holder_family("cone", 1, 0.5, 1.0), 8).net, 0.0, 1.0)
+exact_l1_cpl(f, f, 0.0, 1.0)
+names = ("xml.etree.ElementTree", "concurrent.futures", "numpy.ma")
+print(json.dumps({"ma_with_numpy": ma_with_numpy,
+                  "loaded": [name for name in names if name in sys.modules]}))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # a fresh interpreter: this one has every module the other tests loaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _LOADED_AFTER_WORK, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    loaded = set(result["loaded"])
+    if result["ma_with_numpy"]:  # numpy 1.x imports numpy.ma with numpy itself
+        loaded.discard("numpy.ma")
+    assert loaded == set()
 
 
 class TestUsageErrors:

@@ -32,7 +32,7 @@ from reluconstruct import (
 )
 from reluconstruct import construct, cpl, metrics
 from reluconstruct.cpl import (MIN_BREAK_GAP, _fit_one_layer_row, _merged_breaks, _sliver_l1,
-                              _thin_breaks)
+                              _sorted_distinct, _thin_breaks)
 
 
 def segment_is_linear(net, a, b, tol=1e-8):
@@ -578,6 +578,37 @@ class TestThinBreaks:
             if x - want[-1] > gap and pts[-1] - x > gap:
                 want.append(x)
         assert kept.tolist() == want + [pts[-1]]
+
+
+class TestSortedDistinct:
+    """``_sorted_distinct`` is ``np.unique`` bit for bit on the finite arrays cpl gives it."""
+
+    @staticmethod
+    def assert_unique_bits(x):
+        want, got = np.unique(x), _sorted_distinct(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_arrays_with_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, 50)
+        self.assert_unique_bits(rng.choice(values, 300))
+        # repeats in runs, already sorted and reversed
+        runs = np.repeat(np.sort(values), rng.integers(1, 5, values.size))
+        self.assert_unique_bits(runs)
+        self.assert_unique_bits(runs[::-1])
+
+    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [0.0] * 20 + [-0.0] * 20,
+                                       [-0.0, 1.0, 0.0, -1.0, -0.0, 0.0]])
+    def test_signed_zeros_in_either_order(self, zeros):
+        self.assert_unique_bits(np.array(zeros))
+        rng = np.random.default_rng(len(zeros))
+        self.assert_unique_bits(rng.permutation(np.concatenate((zeros, rng.uniform(-1, 1, 30)))))
+
+    def test_empty_and_single(self):
+        self.assert_unique_bits(np.empty(0))
+        self.assert_unique_bits(np.array([2.5]))
 
 
 def per_row_reference(net, a, b):

@@ -1,6 +1,7 @@
 """Network representation, evaluation, composition, and serialization."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from reluconstruct import (
     ShapeError,
     affine_post,
     build_1d,
+    build_dd,
     compose,
     deserialize,
     evaluate,
@@ -356,7 +358,53 @@ class TestSharedLayers:
             assert a.base is None and not a.flags.writeable
 
 
+def extreme_net():
+    """Entries whose text is long or signed: -0.0, 1e-300, 1e308 and a subnormal."""
+    rng = np.random.default_rng(14)
+    net = random_net(rng, 2, [5, 3])
+    (w1, b1), (w2, b2), last = (tuple(a.copy() for a in layer) for layer in net.layers)
+    w1[0, 0], w1[1, 1], w1[2, 0], b1[3] = -0.0, 1e-300, 1e308, 5e-324
+    b2[:] = -0.0, 0.0, -1e308
+    return ReluNetwork(2, ((w1, b1), (w2, b2), last))
+
+
+def document_bytes(net):
+    """The interchange document as one ``json.dumps`` of the whole nested list."""
+    doc = {"input_dim": net.input_dim,
+           "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in net.layers]}
+    return json.dumps(doc).encode("utf-8")
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("make", [
+        lambda: build_1d(holder_family("cone", 1, 0.5, 1.0), 8).net,
+        lambda: build_1d(holder_family("cone", 1, 0.5, 1.0), 64).net,
+        lambda: build_1d(holder_family("cone", 1, 0.5, 1.0), 256).net,
+        lambda: build_dd(holder_family("cone", 2, 1.0, 1.0), 4).net,
+        lambda: random_net(np.random.default_rng(15), 3, [4, 6, 2]),
+        extreme_net,
+    ], ids=["1d-N8", "1d-N64", "1d-N256", "dd-d2-N4", "random", "extreme"])
+    def test_row_writer_gives_the_whole_document_bytes(self, make, tmp_path):
+        net = make()
+        want = document_bytes(net)
+        assert serialize(net) == want
+        path = tmp_path / "net.json"
+        with open(path, "wb") as fh:
+            network._write_network(net, fh)
+        assert path.read_bytes() == want
+
+    def test_writing_the_n256_network_holds_one_row(self):
+        # the whole document as tolist() floats and text traced 14.9 MiB
+        net = build_1d(holder_family("cone", 1, 0.5, 1.0), 256).net
+        with open(os.devnull, "wb") as fh:
+            tracemalloc.start()
+            try:
+                network._write_network(net, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
+
     def test_round_trip_evaluates_identically(self):
         rng = np.random.default_rng(12)
         net = random_net(rng, 2, [4, 3])
